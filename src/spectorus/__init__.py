@@ -51,9 +51,7 @@ from .rootcert import (
     PrecisionExhausted,
     RootEnclosure,
     count_real_roots,
-    count_real_roots_gt,
     isolate_roots,
-    modulus_interval,
 )
 from .searchkit import (
     SearchReport,
@@ -89,9 +87,7 @@ __all__ = [
     "NotSquarefree",
     "PrecisionExhausted",
     "isolate_roots",
-    "modulus_interval",
     "count_real_roots",
-    "count_real_roots_gt",
     "SpectralProfile",
     "ReplayReport",
     "CannotCertify",

@@ -1,7 +1,7 @@
 """Command-line frontend: search, certify, replay, build, verify, factor.
 
 Exit codes: 0 success, 1 certified rejection or failed verification,
-2 undecided at the precision ceiling, 3 usage error. All reports are JSON
+2 undecided or out of precision, 3 usage error. All reports are JSON
 with sorted keys; fixed seeds give byte-identical output.
 """
 from __future__ import annotations
@@ -11,10 +11,10 @@ import json
 import os
 import sys
 
-from .geomlab import build_certificate, build_model, verify_torus_report
+from .geomlab import build_model, verify_torus_report
 from .intpoly import IntPolynomial, PolyParseError, factor_oracle, parse_poly
 from .otkahler import HESS_STEP_REL, verify_ot_report
-from .rootcert import DEFAULT_PRECISION_CEILING
+from .rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
 from .searchkit import cross_check, search
 from .spectra import (
     REJECTED,
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
+_VERDICT_EXIT = {REJECTED: EXIT_REJECTED, UNDECIDED: EXIT_UNDECIDED}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,12 +39,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_precision() -> int:
+def _max_precision_bits(flag: int | None = None) -> int:
+    """Precision ceiling: the flag when given, else SPECTORUS_MAX_PRECISION, else 4096.
+
+    A value that is not an integer raises ValueError here; classify and search
+    raise it for a ceiling below the first rung of the precision ladder.
+    """
+    if flag is not None:
+        return flag
     raw = os.environ.get("SPECTORUS_MAX_PRECISION", "")
     try:
         return int(raw) if raw else DEFAULT_PRECISION_CEILING
     except ValueError:
-        return DEFAULT_PRECISION_CEILING
+        raise ValueError(
+            f"SPECTORUS_MAX_PRECISION must be an integer, got {raw!r}"
+        ) from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -116,14 +126,13 @@ def build_parser() -> _Parser:
 
 
 def _cmd_search(parser: _Parser, args) -> int:
-    bits = args.max_precision_bits or _default_precision()
     try:
         report = search(
             args.degree,
             args.bound,
             workers=args.workers,
             det_one=not args.gl,
-            max_precision_bits=bits,
+            max_precision_bits=_max_precision_bits(args.max_precision_bits),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -148,22 +157,17 @@ def _cmd_search(parser: _Parser, args) -> int:
 
 def _cmd_certify(parser: _Parser, args) -> int:
     P = _parse_poly_arg(parser, args.poly)
-    bits = args.max_precision_bits or _default_precision()
     try:
         prof = classify(
             P,
             allow_gl=args.gl,
             force_interval=args.force_interval,
-            max_precision_bits=bits,
+            max_precision_bits=_max_precision_bits(args.max_precision_bits),
         )
     except ValueError as exc:
         parser.error(str(exc))
     _emit(_dump(prof.to_json()), args.output)
-    if prof.certification == REJECTED:
-        return EXIT_REJECTED
-    if prof.certification == UNDECIDED:
-        return EXIT_UNDECIDED
-    return EXIT_OK
+    return _VERDICT_EXIT.get(prof.certification, EXIT_OK)
 
 
 def _cmd_replay(parser: _Parser, args) -> int:
@@ -179,18 +183,28 @@ def _cmd_replay(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_build(parser: _Parser, args) -> int:
+def _classify_accepted(parser: _Parser, args):
+    """Parse and classify args.poly: (P, profile, exit code).
+
+    Unless the profile is accepted, the error payload is already written and
+    the exit code is that of the verdict; otherwise it is EXIT_OK.
+    """
     P = _parse_poly_arg(parser, args.poly)
     try:
         prof = classify(P)
     except ValueError as exc:
         parser.error(str(exc))
-    if prof.certification == REJECTED:
-        _emit(_dump({"error": "rejected", "profile": prof.to_json()}), args.output)
-        return EXIT_REJECTED
-    if prof.certification == UNDECIDED:
-        _emit(_dump({"error": "undecided", "profile": prof.to_json()}), args.output)
-        return EXIT_UNDECIDED
+    code = _VERDICT_EXIT.get(prof.certification, EXIT_OK)
+    if code != EXIT_OK:
+        error = "rejected" if code == EXIT_REJECTED else "undecided"
+        _emit(_dump({"error": error, "profile": prof.to_json()}), args.output)
+    return P, prof, code
+
+
+def _cmd_build(parser: _Parser, args) -> int:
+    P, prof, code = _classify_accepted(parser, args)
+    if code != EXIT_OK:
+        return code
     model = build_model(P, prof)
     payload = {
         "certificate": model.cert.to_json(),
@@ -206,17 +220,9 @@ def _cmd_build(parser: _Parser, args) -> int:
 
 
 def _cmd_verify_torus(parser: _Parser, args) -> int:
-    P = _parse_poly_arg(parser, args.poly)
-    try:
-        prof = classify(P)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if prof.certification == REJECTED:
-        _emit(_dump({"error": "rejected", "profile": prof.to_json()}), args.output)
-        return EXIT_REJECTED
-    if prof.certification == UNDECIDED:
-        _emit(_dump({"error": "undecided", "profile": prof.to_json()}), args.output)
-        return EXIT_UNDECIDED
+    P, _, code = _classify_accepted(parser, args)
+    if code != EXIT_OK:
+        return code
     report = verify_torus_report(P, samples=args.samples, seed=args.seed)
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
@@ -262,7 +268,12 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _HANDLERS[args.command](parser, args)
+    try:
+        return _HANDLERS[args.command](parser, args)
+    except PrecisionExhausted as exc:
+        # exit 1 would claim a certified rejection; nothing was proven
+        sys.stderr.write(f"{parser.prog}: undecided: {exc}\n")
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

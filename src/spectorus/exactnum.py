@@ -34,11 +34,6 @@ def nth_root_floor(n: int, k: int) -> int:
         x = y
 
 
-def nth_root_ceil(n: int, k: int) -> int:
-    r = nth_root_floor(n, k)
-    return r if r**k == n else r + 1
-
-
 def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """(lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= 2**(1-bits)."""
     return nth_root_bounds(x, 2, bits)
@@ -76,6 +71,16 @@ def dyadic_abs_bounds(re: int, im: int, e: int) -> tuple[Fraction, Fraction]:
     return Fraction(isqrt(m2), den), Fraction(isqrt_ceil(m2), den)
 
 
+def sign_at(coeffs, x: Fraction) -> int:
+    """Exact sign of sum(c_j * X**j) at the rational X = x."""
+    num, den = x.numerator, x.denominator
+    n = len(coeffs) - 1
+    v = coeffs[n]
+    for j in range(n - 1, -1, -1):
+        v = v * num + coeffs[j] * den ** (n - j)
+    return (v > 0) - (v < 0)
+
+
 def interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Interval Horner evaluation of the polynomial over [lo, hi]."""
     vlo = vhi = Fraction(coeffs[-1])
@@ -92,22 +97,13 @@ def bisect_root_dyadic(
 
     Requires P(lo) and P(hi) to have strict opposite signs.
     """
-
-    def sign_at(x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        n = len(coeffs) - 1
-        v = coeffs[n]
-        for j in range(n - 1, -1, -1):
-            v = v * num + coeffs[j] * den ** (n - j)
-        return (v > 0) - (v < 0)
-
-    slo, shi = sign_at(lo), sign_at(hi)
+    slo, shi = sign_at(coeffs, lo), sign_at(coeffs, hi)
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("bracket endpoints must have strict opposite signs")
     width_target = Fraction(1, 1 << bits)
     while hi - lo > width_target:
         mid = (lo + hi) / 2
-        sm = sign_at(mid)
+        sm = sign_at(coeffs, mid)
         if sm == 0:
             eps = (hi - lo) / 4
             return mid - eps, mid + eps

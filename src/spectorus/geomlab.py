@@ -63,6 +63,34 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(piv) / piv)
 
 
+def _real_basis(w: np.ndarray, V: np.ndarray, indices) -> np.ndarray:
+    """Real columns spanning the eigenvectors V[:, k] for k in indices.
+
+    A real eigenvalue gives its eigenvector; a conjugate pair gives, once, the
+    real and imaginary parts of the eigenvector of its positive-imaginary
+    member. Columns follow the eigenvalues sorted by real part, then |imag|.
+    """
+    order = sorted(
+        indices, key=lambda k: (round(w[k].real, 12), round(abs(w[k].imag), 12))
+    )
+    cols: list[np.ndarray] = []
+    used_pairs: set[complex] = set()
+    for k in order:
+        lam_k = w[k]
+        if abs(lam_k.imag) <= _EIG_TOL:
+            cols.append(np.real(_canonical_phase(V[:, k])))
+        else:
+            key = complex(round(lam_k.real, 10), round(abs(lam_k.imag), 10))
+            if key in used_pairs:
+                continue
+            used_pairs.add(key)
+            vk = V[:, k] if lam_k.imag > 0 else np.conj(V[:, k])
+            vk = _canonical_phase(vk)
+            cols.append(np.real(vk))
+            cols.append(np.imag(vk))
+    return np.column_stack(cols)
+
+
 def split(A: np.ndarray, profile: SpectralProfile) -> tuple[np.ndarray, np.ndarray]:
     """Invariant splitting: expanding eigenvector and a basis of the rest.
 
@@ -93,28 +121,7 @@ def split(A: np.ndarray, profile: SpectralProfile) -> tuple[np.ndarray, np.ndarr
     resid = np.linalg.norm(Af @ Eu - big * Eu)
     if resid > 1e-8:
         raise ArithmeticError(f"expanding eigenvector did not converge: {resid:g}")
-
-    order = sorted(
-        (k for k in range(n) if k != i_big),
-        key=lambda k: (round(w[k].real, 12), round(abs(w[k].imag), 12)),
-    )
-    cols: list[np.ndarray] = []
-    used_pairs: set[complex] = set()
-    for k in order:
-        lam_k = w[k]
-        if abs(lam_k.imag) <= _EIG_TOL:
-            cols.append(np.real(_canonical_phase(V[:, k])))
-        else:
-            key = complex(round(lam_k.real, 10), round(abs(lam_k.imag), 10))
-            if key in used_pairs:
-                continue
-            used_pairs.add(key)
-            vk = V[:, k] if lam_k.imag > 0 else np.conj(V[:, k])
-            vk = _canonical_phase(vk)
-            cols.append(np.real(vk))
-            cols.append(np.imag(vk))
-    Es = np.column_stack(cols)
-    return Eu, Es
+    return Eu, _real_basis(w, V, [k for k in range(n) if k != i_big])
 
 
 def solve_b(A_s: np.ndarray, lam: float) -> np.ndarray:
@@ -130,24 +137,7 @@ def solve_b(A_s: np.ndarray, lam: float) -> np.ndarray:
     w, V = np.linalg.eig(S)
     if np.max(np.abs(np.abs(w) - 1.0)) > 1e-9:
         raise ValueError("solve_b requires all eigenvalues of lam*A_s on the unit circle")
-    order = sorted(range(q), key=lambda k: (round(w[k].real, 12), round(abs(w[k].imag), 12)))
-    cols: list[np.ndarray] = []
-    used_pairs: set[complex] = set()
-    for k in order:
-        lam_k = w[k]
-        if abs(lam_k.imag) <= _EIG_TOL:
-            cols.append(np.real(_canonical_phase(V[:, k])))
-        else:
-            key = complex(round(lam_k.real, 10), round(abs(lam_k.imag), 10))
-            if key in used_pairs:
-                continue
-            used_pairs.add(key)
-            vk = V[:, k] if lam_k.imag > 0 else np.conj(V[:, k])
-            vk = _canonical_phase(vk)
-            cols.append(np.real(vk))
-            cols.append(np.imag(vk))
-    T = np.column_stack(cols)
-    Tinv = np.linalg.inv(T)
+    Tinv = np.linalg.inv(_real_basis(w, V, range(q)))
     b = Tinv.T @ Tinv
     b = b * (q / np.trace(b))
     b = (b + b.T) / 2

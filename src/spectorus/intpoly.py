@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd, isqrt
+from math import comb, isqrt
+from operator import index
 
 
 class PolyParseError(ValueError):
@@ -25,12 +25,16 @@ class PolyParseError(ValueError):
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Polynomial with integer coefficients, ascending order, canonical degree."""
+    """Polynomial with integer coefficients, ascending order, canonical degree.
+
+    Coefficients must be integers (Python or numpy); anything else, a float
+    included, raises TypeError instead of being truncated.
+    """
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(index, self.coeffs))
         if not cs:
             cs = (0,)
         while len(cs) > 1 and cs[-1] == 0:
@@ -192,24 +196,20 @@ def parse_poly(text: str) -> IntPolynomial:
     return IntPolynomial(tuple(acc.get(j, 0) for j in range(n + 1)))
 
 
-def reverse(P: IntPolynomial, raw: bool = False) -> IntPolynomial:
+def reverse(P: IntPolynomial) -> IntPolynomial:
     """X**deg * P(1/X), normalized monic (roots become reciprocals).
 
-    Requires P monic with P(0) in {1, -1}; the raw (unnormalized) reversal is
-    available for debugging via raw=True.
+    Requires P monic with P(0) in {1, -1}.
     """
     if not P.is_monic:
         raise ValueError("reverse requires a monic polynomial")
-    rev = P.coeffs[::-1]
-    if raw:
-        return IntPolynomial(rev)
     c0 = P.coeffs[0]
     if c0 not in (1, -1):
         raise ValueError(
             "reverse requires P(0) in {1, -1}; reciprocal roots are not "
             "algebraic integers otherwise"
         )
-    return IntPolynomial(tuple(c0 * c for c in rev))
+    return IntPolynomial(tuple(c0 * c for c in P.coeffs[::-1]))
 
 
 def power_sums(P: IntPolynomial, k: int) -> tuple[int, ...]:
@@ -402,11 +402,3 @@ def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
                 key=lambda f: (f.degree, f.coeffs),
             )
     return [P]
-
-
-def content(P: IntPolynomial) -> int:
-    """Positive gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in P.coeffs:
-        g = gcd(g, abs(c))
-    return g

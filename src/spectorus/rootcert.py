@@ -15,10 +15,11 @@ from math import gcd, isqrt
 import mpmath
 import numpy as np
 
-from .exactnum import dyadic_abs_bounds, dyadic_eval
+from .exactnum import dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
 from .intpoly import IntPolynomial
 
 DEFAULT_PRECISION_CEILING = 4096
+MIN_PRECISION_BITS = 53  # first rung of the precision ladder: hardware float seeds
 
 
 class NotSquarefree(ValueError):
@@ -94,15 +95,6 @@ def chain_is_squarefree(chain: list[list[int]]) -> bool:
     return len(chain[-1]) == 1 and chain[-1][0] != 0
 
 
-def _sign_at(cs: list[int], x: Fraction) -> int:
-    num, den = x.numerator, x.denominator
-    n = len(cs) - 1
-    v = cs[n]
-    for j in range(n - 1, -1, -1):
-        v = v * num + cs[j] * den ** (n - j)
-    return (v > 0) - (v < 0)
-
-
 def _variations(signs: list[int]) -> int:
     out = 0
     prev = 0
@@ -116,7 +108,7 @@ def _variations(signs: list[int]) -> int:
 
 
 def variations_at(chain: list[list[int]], x: Fraction) -> int:
-    return _variations([_sign_at(cs, x) for cs in chain])
+    return _variations([sign_at(cs, x) for cs in chain])
 
 
 def variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
@@ -127,33 +119,6 @@ def variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
             s = -s
         signs.append(s)
     return _variations(signs)
-
-
-def _deflate_integer_root(coeffs: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """Exact synthetic division by (X - a); requires a to be a root."""
-    out: list[int] = []
-    carry = 0
-    for c in reversed(coeffs):
-        carry = c + carry * a
-        out.append(carry)
-    if out[-1] != 0:
-        raise ValueError(f"{a} is not a root")
-    return tuple(out[:-1][::-1])
-
-
-def count_real_roots_gt(P: IntPolynomial, threshold) -> int:
-    """Exact number of real roots strictly greater than threshold (Sturm chain)."""
-    thr = Fraction(threshold)
-    chain = sturm_chain(P.coeffs)
-    if not chain_is_squarefree(chain):
-        raise NotSquarefree(f"{P.render()} is not squarefree")
-    coeffs = P.coeffs
-    while _sign_at(list(coeffs), thr) == 0:
-        if thr.denominator != 1:
-            raise ValueError("threshold is a non-integer rational root")
-        coeffs = _deflate_integer_root(coeffs, thr.numerator)
-        chain = sturm_chain(coeffs)
-    return variations_at(chain, thr) - variations_at_infinity(chain, positive=True)
 
 
 def count_real_roots(P: IntPolynomial) -> int:
@@ -199,6 +164,7 @@ class RootEnclosure:
         return f if Fraction(f) >= self.radius else math.nextafter(f, math.inf)
 
     def modulus_interval(self) -> tuple[Fraction, Fraction]:
+        """Certified [lo, hi] containing the modulus of the enclosed root."""
         lo, hi = dyadic_abs_bounds(self.a, self.b, self.k)
         lo -= self.radius
         return (lo if lo > 0 else Fraction(0)), hi + self.radius
@@ -217,11 +183,6 @@ class RootEnclosure:
             "real": self.is_real_certified,
             "undecided": self.undecided,
         }
-
-
-def modulus_interval(e: RootEnclosure) -> tuple[Fraction, Fraction]:
-    """Certified [lo, hi] containing the modulus of the enclosed root."""
-    return e.modulus_interval()
 
 
 def _float_seeds(coeffs: tuple[int, ...]) -> list[complex]:
@@ -257,7 +218,7 @@ def _mpmath_polish(coeffs: tuple[int, ...], seeds, prec: int):
     out = []
     with mpmath.workprec(prec + 20):
         for s in seeds:
-            x = mpmath.mpc(s[0], s[1]) if isinstance(s, tuple) else mpmath.mpc(s)
+            x = mpmath.mpc(s[0], s[1])
             for _ in range(4):
                 d = mpmath.polyval(der_desc, x)
                 if d == 0:
@@ -302,10 +263,7 @@ def _certify_stage(
         lo_d = isqrt(dr * dr + di * di)
         if lo_d == 0:
             return None
-        m2 = vr * vr + vi * vi
-        up_p = isqrt(m2)
-        if up_p * up_p != m2:
-            up_p += 1
+        up_p = isqrt_ceil(vr * vr + vi * vi)
         # radius <= n*up_p/(lo_d*2**k): scales of P and P' differ by exactly 2**k
         r_num = -(-n * up_p // lo_d)
         if r_num * t_den > t_num << k:
@@ -337,7 +295,7 @@ def _certify_stage(
 
 
 def _precision_ladder(ceiling: int) -> list[int]:
-    out = [53]
+    out = [MIN_PRECISION_BITS]
     p = 120
     while p < ceiling:
         out.append(p)
@@ -379,28 +337,20 @@ def isolate_roots(
 
     coeffs = P.coeffs
     last: tuple[RootEnclosure, ...] = ()
-    prev_centers: list[tuple[int, int]] | None = None
-    prev_k = 0
     for prec in _precision_ladder(max_precision_bits):
         k = prec + 8
-        if prec == 53:
+        if prec == MIN_PRECISION_BITS:
             seeds = _float_seeds(coeffs)
             centers = [
                 (_dyadic_center(z.real, k), _dyadic_center(z.imag, k)) for z in seeds
             ]
         else:
+            # the ladder starts at the float rung, so a previous rung always exists
             with mpmath.workprec(prec + 20):
-                if prev_centers is None:
-                    seeds_m = [
-                        (mpmath.mpf(z.real), mpmath.mpf(z.imag))
-                        for z in _float_seeds(coeffs)
-                    ]
-                else:
-                    den = mpmath.mpf(1 << prev_k)
-                    seeds_m = [
-                        (mpmath.mpf(a) / den, mpmath.mpf(b) / den)
-                        for a, b in prev_centers
-                    ]
+                den = mpmath.mpf(1 << prev_k)
+                seeds_m = [
+                    (mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in prev_centers
+                ]
             polished = _mpmath_polish(coeffs, seeds_m, prec)
             with mpmath.workprec(prec + 40):
                 centers = [

@@ -14,13 +14,12 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from multiprocessing import get_context
 
 import numpy as np
 
 from .intpoly import IntPolynomial
-from .rootcert import DEFAULT_PRECISION_CEILING
+from .rootcert import DEFAULT_PRECISION_CEILING, MIN_PRECISION_BITS
 from .spectra import (
     REJECTED,
     UNDECIDED,
@@ -41,12 +40,12 @@ def enumerate_candidates(degree: int, bound: int, det_one: bool = True):
     """
     if degree < 2 or bound < 1:
         raise ValueError("enumerate_candidates requires degree >= 2 and bound >= 1")
-    consts = ((-1) ** degree,) if det_one else (-1, 1)
     for lead in range(-bound, bound + 1):
-        yield from _shard_candidates(degree, bound, consts, lead)
+        yield from _shard_candidates(degree, bound, det_one, lead)
 
 
-def _shard_candidates(degree: int, bound: int, consts, lead: int):
+def _shard_candidates(degree: int, bound: int, det_one: bool, lead: int):
+    consts = ((-1) ** degree,) if det_one else (-1, 1)
     span = range(-bound, bound + 1)
     if degree == 2:
         for c0 in consts:
@@ -135,12 +134,11 @@ def _replay_for(P: IntPolynomial, profile: SpectralProfile):
 
 def _run_shard(args) -> tuple[list, Counter, list, int]:
     degree, bound, det_one, lead, max_bits = args
-    consts = ((-1) ** degree,) if det_one else (-1, 1)
     accepted: list[AcceptedEntry] = []
     reasons: Counter = Counter()
     undecided: list[IntPolynomial] = []
     count = 0
-    for P in _shard_candidates(degree, bound, consts, lead):
+    for P in _shard_candidates(degree, bound, det_one, lead):
         count += 1
         prof = classify(P, allow_gl=not det_one, max_precision_bits=max_bits)
         if prof.certification == REJECTED:
@@ -164,6 +162,8 @@ def search(
         raise ValueError("search requires degree >= 2 and bound >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if max_precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"max_precision_bits must be >= {MIN_PRECISION_BITS}")
     t0 = time.perf_counter()
     shards = [
         (degree, bound, det_one, lead, max_precision_bits)

@@ -13,7 +13,7 @@ exact integer polynomial identities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -21,11 +21,13 @@ from .exactnum import (
     frac_to_decimal,
     interval_eval,
     nth_root_bounds,
+    sign_at,
     sqrt_bounds,
 )
 from .intpoly import IntPolynomial, discriminant, power_transform, reverse
 from .rootcert import (
     DEFAULT_PRECISION_CEILING,
+    MIN_PRECISION_BITS,
     PrecisionExhausted,
     RootEnclosure,
     chain_is_squarefree,
@@ -312,16 +314,7 @@ def _refine_big_root(
     coeffs, b_lo: Fraction, b_hi: Fraction, bits: int
 ) -> tuple[Fraction, Fraction]:
     """Tighten the expanding-root bracket by exact dyadic bisection."""
-
-    def sign_at(x: Fraction) -> int:
-        num, den = x.numerator, x.denominator
-        nn = len(coeffs) - 1
-        v = coeffs[nn]
-        for j in range(nn - 1, -1, -1):
-            v = v * num + coeffs[j] * den ** (nn - j)
-        return (v > 0) - (v < 0)
-
-    s_lo, s_hi = sign_at(b_lo), sign_at(b_hi)
+    s_lo, s_hi = sign_at(coeffs, b_lo), sign_at(coeffs, b_hi)
     if s_lo == 0:
         return b_lo, b_lo  # bracket endpoint is the root, exactly
     if s_hi == 0:
@@ -349,6 +342,8 @@ def classify(
     n = P.degree
     if n < 2:
         raise ValueError("classify requires degree >= 2")
+    if max_precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"max_precision_bits must be >= {MIN_PRECISION_BITS}")
     q = n - 1
     c0 = P.coeffs[0]
     expected = -1 if n % 2 else 1

@@ -9,11 +9,12 @@ import pytest
 
 import spectorus.cli as cli
 import spectorus.searchkit as searchkit
-from spectorus.cli import _default_precision, main
+from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
 from spectorus.rootcert import DEFAULT_PRECISION_CEILING
 from spectorus.spectra import UNDECIDED, SpectralProfile
 
+DEG5 = "x^5 - 2x^4 + x^3 - x^2 + x - 1"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
@@ -293,8 +294,42 @@ def test_factor_irreducible(capsys):
 
 def test_precision_env_var(monkeypatch):
     monkeypatch.delenv("SPECTORUS_MAX_PRECISION", raising=False)
-    assert _default_precision() == DEFAULT_PRECISION_CEILING
+    assert _max_precision_bits() == DEFAULT_PRECISION_CEILING
     monkeypatch.setenv("SPECTORUS_MAX_PRECISION", "4096")
-    assert _default_precision() == 4096
+    assert _max_precision_bits() == 4096
+    assert _max_precision_bits(0) == 0  # a given flag wins, even a falsy one
     monkeypatch.setenv("SPECTORUS_MAX_PRECISION", "not-a-number")
-    assert _default_precision() == DEFAULT_PRECISION_CEILING
+    with pytest.raises(ValueError):
+        _max_precision_bits()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", DEG5, "--max-precision-bits", "0"],
+        ["certify", DEG5, "--max-precision-bits", "-10"],
+        ["certify", DEG5, "--max-precision-bits", "52"],
+        ["search", "--degree", "4", "--bound", "1", "--max-precision-bits", "52"],
+    ],
+)
+def test_precision_ceiling_below_first_rung_is_usage_error(argv, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+
+
+def test_precision_env_var_garbage_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("SPECTORUS_MAX_PRECISION", "abc")
+    code, out, err = run_cli(["certify", DEG5], capsys)
+    assert code == 3
+    assert out == ""
+    assert "SPECTORUS_MAX_PRECISION" in err
+
+
+def test_precision_exhaustion_exits_undecided(capsys):
+    # the conjugate pair of this accepted cubic is seeded as two equal zeros,
+    # so its isolation runs out of precision
+    code, out, err = run_cli(["certify", "x^3 - 10000000000000000x^2 - 1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err

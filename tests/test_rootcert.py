@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from spectorus.exactnum import (
     bisect_root_dyadic,
@@ -14,8 +15,8 @@ from spectorus.exactnum import (
     interval_eval,
     isqrt_ceil,
     nth_root_bounds,
-    nth_root_ceil,
     nth_root_floor,
+    sign_at,
     sqrt_bounds,
 )
 from spectorus.intpoly import IntPolynomial, parse_poly
@@ -23,11 +24,11 @@ from spectorus.rootcert import (
     NotSquarefree,
     PrecisionExhausted,
     count_real_roots,
-    count_real_roots_gt,
     isolate_roots,
-    modulus_interval,
     sturm_chain,
     chain_is_squarefree,
+    variations_at,
+    variations_at_infinity,
 )
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
@@ -41,8 +42,6 @@ def test_integer_root_bounds():
     assert isqrt_ceil(16) == 4
     assert nth_root_floor(26, 3) == 2
     assert nth_root_floor(27, 3) == 3
-    assert nth_root_ceil(28, 3) == 4
-    assert nth_root_ceil(27, 3) == 3
 
 
 @settings(derandomize=True, max_examples=60)
@@ -97,6 +96,17 @@ def test_bisect_root_dyadic_rejects_bad_bracket():
         bisect_root_dyadic(GOLDEN.coeffs, Fraction(4), Fraction(5), 30)
 
 
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=64)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7), RATIONALS)
+def test_sign_at_matches_sympy(coeffs, x):
+    poly = sympy.Poly(coeffs[::-1], sympy.Symbol("x"))
+    value = poly.eval(sympy.Rational(x.numerator, x.denominator))
+    assert sign_at(coeffs, x) == sympy.sign(value)
+
+
 def test_frac_to_decimal_outward_rounding():
     assert frac_to_decimal(Fraction(1, 3), 4, round_up=True) == "0.3334"
     assert frac_to_decimal(Fraction(1, 3), 4, round_up=False) == "0.3333"
@@ -118,16 +128,18 @@ def test_count_real_roots_examples():
     assert count_real_roots(parse_poly("x^3 - 2x - 1")) == 3
 
 
-def test_count_real_roots_gt_examples():
-    assert count_real_roots_gt(GOLDEN, 1) == 1
-    assert count_real_roots_gt(PLASTIC, 1) == 1
-    assert count_real_roots_gt(parse_poly("x^2 + 1"), 0) == 0
-
-
-def test_count_real_roots_gt_is_strict_and_takes_fractions():
-    assert count_real_roots_gt(parse_poly("x^2 - 1"), 1) == 0
-    assert count_real_roots_gt(GOLDEN, Fraction(5, 2)) == 1
-    assert count_real_roots_gt(GOLDEN, Fraction(0)) == 2
+@settings(derandomize=True, max_examples=60)
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6), RATIONALS)
+def test_sturm_counts_around_a_rational_match_sympy(tail, x):
+    P = IntPolynomial((*tail, 1))
+    chain = sturm_chain(P.coeffs)
+    assume(chain_is_squarefree(chain) and sign_at(P.coeffs, x) != 0)
+    above = variations_at(chain, x) - variations_at_infinity(chain, positive=True)
+    below = variations_at_infinity(chain, positive=False) - variations_at(chain, x)
+    poly = sympy.Poly(P.coeffs[::-1], sympy.Symbol("x"))
+    r = sympy.Rational(x.numerator, x.denominator)
+    assert above == poly.count_roots(inf=r)
+    assert below == poly.count_roots(sup=r)
 
 
 @settings(derandomize=True, max_examples=40)
@@ -171,7 +183,7 @@ def test_isolate_gaussian_units():
     assert all(abs(e.re) <= 1e-12 for e in enc)
     assert not any(e.is_real_certified for e in enc)
     for e in enc:
-        lo, hi = modulus_interval(e)
+        lo, hi = e.modulus_interval()
         assert lo <= 1 <= hi
 
 
@@ -257,7 +269,7 @@ def test_modulus_product_brackets_constant_term():
         enc = isolate_roots(P)
         lo = hi = Fraction(1)
         for e in enc:
-            mlo, mhi = modulus_interval(e)
+            mlo, mhi = e.modulus_interval()
             lo, hi = lo * mlo, hi * mhi
         assert lo <= abs(P.coeffs[0]) <= hi
 
