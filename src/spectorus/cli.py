@@ -220,10 +220,10 @@ def _cmd_build(parser: _Parser, args) -> int:
 
 
 def _cmd_verify_torus(parser: _Parser, args) -> int:
-    P, _, code = _classify_accepted(parser, args)
+    P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code
-    report = verify_torus_report(P, samples=args.samples, seed=args.seed)
+    report = verify_torus_report(P, samples=args.samples, seed=args.seed, profile=prof)
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 

@@ -430,11 +430,9 @@ def verify_torus_report(
     samples: int = 100,
     seed: int = 0,
     step_rel: float = 1e-3,
+    profile: SpectralProfile | None = None,
 ) -> dict:
     """One-shot verification bundle for an accepted polynomial."""
-    profile = classify(P)
-    if not profile.accepted:
-        raise ValueError(f"polynomial not accepted: {profile.reason}")
     cert = build_certificate(P, profile)
     model = MappingTorusModel(cert=cert, q=cert.q, phi_exponent=2 * cert.q + 2)
     rng = np.random.default_rng(seed)

@@ -124,7 +124,7 @@ class IntPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntPolynomial":
-        return cls(tuple(int(c) for c in data["coeffs"]))
+        return cls(tuple(data["coeffs"]))
 
     def __str__(self) -> str:
         return self.render()

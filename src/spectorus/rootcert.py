@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
 
 import mpmath
@@ -93,6 +94,48 @@ def sturm_chain(coeffs: tuple[int, ...]) -> list[list[int]]:
 
 def chain_is_squarefree(chain: list[list[int]]) -> bool:
     return len(chain[-1]) == 1 and chain[-1][0] != 0
+
+
+# primes the squarefree proof tries in turn; residue tuples repeat across a
+# coefficient box (about 4,000 distinct ones over degrees 4-6), hence the cache
+_SQUAREFREE_PRIMES = (3, 5, 7)
+
+
+@lru_cache(maxsize=4096)
+def _squarefree_mod(p: int, residues: tuple[int, ...]) -> bool:
+    """gcd(f, f') over GF(p) is a nonzero constant, for f monic with these residues."""
+    f = list(residues)
+    g = [j * c % p for j, c in enumerate(f)][1:]
+    while g and g[-1] == 0:
+        g.pop()
+    while g:
+        # f mod g over GF(p); g is nonzero with a unit leading coefficient
+        inv = pow(g[-1], p - 2, p)
+        dg = len(g) - 1
+        while len(f) > dg:
+            c = f[-1] * inv % p
+            if c:
+                shift = len(f) - 1 - dg
+                for j in range(dg):
+                    f[shift + j] = (f[shift + j] - c * g[j]) % p
+            f.pop()
+        while f and f[-1] == 0:
+            f.pop()
+        f, g = g, f
+    return len(f) == 1
+
+
+def squarefree_by_small_primes(coeffs: tuple[int, ...]) -> bool:
+    """True proves the monic P squarefree over Q; False proves nothing.
+
+    A repeated factor g**2 of P over Q is, by Gauss's lemma, a monic integer
+    one, and it survives reduction mod p with its degree. So P squarefree
+    mod some prime p implies P squarefree over Q (von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 14).
+    """
+    return any(
+        _squarefree_mod(p, tuple(c % p for c in coeffs)) for p in _SQUAREFREE_PRIMES
+    )
 
 
 def _variations(signs: list[int]) -> int:
@@ -228,6 +271,23 @@ def _mpmath_polish(coeffs: tuple[int, ...], seeds, prec: int):
     return out
 
 
+def _polyroots_seeds(coeffs: tuple[int, ...], prec: int):
+    """Durand-Kerner seeds from mpmath.polyroots, for when Newton seeds collide.
+
+    polyroots stops on an absolute error, so the working precision grows by
+    the bit size of the Cauchy root bound; cleanup=False keeps tiny parts.
+    """
+    extra = (1 + max(abs(c) for c in coeffs)).bit_length() + 20
+    with mpmath.workprec(prec + 20):
+        try:
+            roots = mpmath.polyroots(
+                list(reversed(coeffs)), maxsteps=200, cleanup=False, extraprec=extra
+            )
+        except mpmath.libmp.NoConvergence:
+            return None
+        return [(mpmath.re(z), mpmath.im(z)) for z in roots]
+
+
 def _dyadic_center(value, k: int) -> int:
     if isinstance(value, float):
         if abs(value) < 1e18 and k <= 512:
@@ -257,17 +317,23 @@ def _certify_stage(
     der = tuple(j * c for j, c in enumerate(coeffs))[1:]
     t_num, t_den = target.numerator, target.denominator
     disks: list[list[int]] = []  # [a, b, r_num, real]
+    # integer coefficients give |P(conj c)| = |P(c)| and |P'(conj c)| = |P'(c)|,
+    # so the conjugate of a certified center reuses its radius exactly
+    radii: dict[tuple[int, int], int] = {}
     for a, b in centers:
-        vr, vi, _ = dyadic_eval(coeffs, a, b, k)
-        dr, di, _ = dyadic_eval(der, a, b, k)
-        lo_d = isqrt(dr * dr + di * di)
-        if lo_d == 0:
-            return None
-        up_p = isqrt_ceil(vr * vr + vi * vi)
-        # radius <= n*up_p/(lo_d*2**k): scales of P and P' differ by exactly 2**k
-        r_num = -(-n * up_p // lo_d)
-        if r_num * t_den > t_num << k:
-            return None
+        r_num = radii.get((a, -b))
+        if r_num is None:
+            vr, vi, _ = dyadic_eval(coeffs, a, b, k)
+            dr, di, _ = dyadic_eval(der, a, b, k)
+            lo_d = isqrt(dr * dr + di * di)
+            if lo_d == 0:
+                return None
+            up_p = isqrt_ceil(vr * vr + vi * vi)
+            # radius <= n*up_p/(lo_d*2**k): scales of P and P' differ by exactly 2**k
+            r_num = -(-n * up_p // lo_d)
+            if r_num * t_den > t_num << k:
+                return None
+            radii[(a, b)] = r_num
         disks.append([a, b, r_num, False])
 
     # reality certification: disks meeting the real axis must match the exact count
@@ -308,7 +374,7 @@ def isolate_roots(
     P: IntPolynomial,
     target_radius=Fraction(1, 10**12),
     max_precision_bits: int = DEFAULT_PRECISION_CEILING,
-    _chain: list[list[int]] | None = None,
+    _real_count: int | None = None,
 ) -> tuple[RootEnclosure, ...]:
     """deg(P) pairwise-disjoint disks, each certified to hold exactly one root.
 
@@ -316,24 +382,24 @@ def isolate_roots(
     exactly at a dyadic center c; disjointness then pins exactly one root per
     disk. Precision escalates until every radius is below target_radius, or
     PrecisionExhausted is raised with the last (undecided) enclosures.
+    _real_count is the exact real-root count of a P already proven
+    squarefree; without it count_real_roots proves both here.
     """
     if P.degree < 1:
         raise ValueError("degree must be >= 1")
     if not P.is_monic:
         raise ValueError("isolate_roots requires a monic polynomial")
+    if max_precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"max_precision_bits must be >= {MIN_PRECISION_BITS}")
     target = Fraction(target_radius)
     if target <= 0:
         raise ValueError("target_radius must be positive")
-    chain = _chain if _chain is not None else sturm_chain(P.coeffs)
-    if not chain_is_squarefree(chain):
-        raise NotSquarefree(f"{P.render()} is not squarefree")
+    if _real_count is None:
+        _real_count = count_real_roots(P)
     if P.degree == 1:
         return (
             RootEnclosure(-P.coeffs[0], 0, 0, Fraction(0), is_real_certified=True),
         )
-    total_real = variations_at_infinity(chain, positive=False) - variations_at_infinity(
-        chain, positive=True
-    )
 
     coeffs = P.coeffs
     last: tuple[RootEnclosure, ...] = ()
@@ -346,18 +412,25 @@ def isolate_roots(
             ]
         else:
             # the ladder starts at the float rung, so a previous rung always exists
-            with mpmath.workprec(prec + 20):
-                den = mpmath.mpf(1 << prev_k)
-                seeds_m = [
-                    (mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in prev_centers
-                ]
+            seeds_m = None
+            if len(set(prev_centers)) < len(prev_centers):
+                # Newton never separates equal centers (the pair of
+                # X^3 + aX^2 - 1 for a <= -5e15 is seeded as two exact zeros)
+                seeds_m = _polyroots_seeds(coeffs, prec)
+            if seeds_m is None:
+                with mpmath.workprec(prec + 20):
+                    den = mpmath.mpf(1 << prev_k)
+                    seeds_m = [
+                        (mpmath.mpf(a) / den, mpmath.mpf(b) / den)
+                        for a, b in prev_centers
+                    ]
             polished = _mpmath_polish(coeffs, seeds_m, prec)
             with mpmath.workprec(prec + 40):
                 centers = [
                     (_dyadic_center(z.real, k), _dyadic_center(z.imag, k))
                     for z in polished
                 ]
-        certified = _certify_stage(coeffs, centers, k, target, total_real)
+        certified = _certify_stage(coeffs, centers, k, target, _real_count)
         if certified is not None:
             return certified
         prev_centers, prev_k = centers, k

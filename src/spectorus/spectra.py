@@ -32,6 +32,7 @@ from .rootcert import (
     RootEnclosure,
     chain_is_squarefree,
     isolate_roots,
+    squarefree_by_small_primes,
     sturm_chain,
     variations_at,
     variations_at_infinity,
@@ -204,15 +205,15 @@ _STAGES: tuple[tuple[Fraction, int], ...] = (
 )
 
 
-def _interval_classify(
-    P: IntPolynomial, chain, max_precision_bits: int
-) -> SpectralProfile:
+def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
+    """Exact sign screens at +-1, or None when both pass.
+
+    A valid layout has exactly one real root above 1 (odd count makes
+    P(1) < 0) and no root at or below -1.
+    """
     coeffs = P.coeffs
     n = P.degree
     q = n - 1
-
-    # exact sign screens at +-1: a valid layout has exactly one real root
-    # above 1 (odd count makes P(1) < 0) and no root at or below -1
     p1 = sum(coeffs)
     if p1 == 0:
         return _rejected(P, q, BOUNDARY_ROOT, "root at 1")
@@ -225,6 +226,14 @@ def _interval_classify(
         return _rejected(P, q, BOUNDARY_ROOT, "root at -1")
     if pm1 < 0:
         return _rejected(P, q, ROOT_BELOW_MINUS_ONE, "odd number of real roots below -1")
+    return None
+
+
+def _interval_classify(
+    P: IntPolynomial, chain, max_precision_bits: int
+) -> SpectralProfile:
+    coeffs = P.coeffs
+    q = P.degree - 1
 
     # exact Sturm counts
     v_inf = variations_at_infinity(chain, positive=True)
@@ -235,11 +244,12 @@ def _interval_classify(
     below = v_minf - variations_at(chain, Fraction(-1))
     if below != 0:
         return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
+    real_count = v_minf - v_inf
 
     for target, refine_bits in _STAGES:
         try:
             encl = isolate_roots(
-                P, target, max_precision_bits=max_precision_bits, _chain=chain
+                P, target, max_precision_bits=max_precision_bits, _real_count=real_count
             )
         except PrecisionExhausted:
             return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
@@ -356,9 +366,17 @@ def classify(
             return exact_test_q1(P)
         if n == 3 and c0 == -1:
             return exact_test_q2(P)
+    # stage order: sign screens, squarefree proof, Sturm counts, isolation.
+    # not_squarefree outranks a screen verdict, so a screen rejection stands
+    # only once a small prime or the Sturm chain proves P squarefree
+    screen = _sign_screen(P)
+    if screen is not None and squarefree_by_small_primes(P.coeffs):
+        return screen
     chain = sturm_chain(P.coeffs)
     if not chain_is_squarefree(chain):
         return _rejected(P, q, NOT_SQUAREFREE)
+    if screen is not None:
+        return screen
     return _interval_classify(P, chain, max_precision_bits)
 
 

@@ -48,6 +48,7 @@ def search_3_10():
 
 # ------------------------------------------------------------------ criterion 1
 
+@pytest.mark.slow
 def test_criterion_1_no_acceptances_above_degree_three(capsys, search_2_10, search_3_10):
     t0 = time.perf_counter()
     reports = [search(d, 10) for d in (4, 5, 6)]

@@ -8,11 +8,12 @@ import jsonschema
 import pytest
 
 import spectorus.cli as cli
+import spectorus.geomlab as geomlab
 import spectorus.searchkit as searchkit
 from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
-from spectorus.rootcert import DEFAULT_PRECISION_CEILING
-from spectorus.spectra import UNDECIDED, SpectralProfile
+from spectorus.rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
+from spectorus.spectra import UNDECIDED, SpectralProfile, classify
 
 DEG5 = "x^5 - 2x^4 + x^3 - x^2 + x - 1"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
@@ -245,6 +246,20 @@ def test_verify_torus_passes_all_gates(capsys):
     assert payload["deck_samples"] == 5
 
 
+def test_verify_torus_classifies_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(P, **kwargs):
+        calls.append(P)
+        return classify(P, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    monkeypatch.setattr(geomlab, "classify", counting)
+    code, _, _ = run_cli(["verify-torus", "x^2 - 3x + 1", "--samples", "3"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_torus_rejected_polynomial_exits_one(capsys):
     code, out, _ = run_cli(["verify-torus", "x^2 - x + 1"], capsys)
     assert code == 1
@@ -326,10 +341,25 @@ def test_precision_env_var_garbage_is_usage_error(monkeypatch, capsys):
     assert "SPECTORUS_MAX_PRECISION" in err
 
 
-def test_precision_exhaustion_exits_undecided(capsys):
-    # the conjugate pair of this accepted cubic is seeded as two equal zeros,
-    # so its isolation runs out of precision
-    code, out, err = run_cli(["certify", "x^3 - 10000000000000000x^2 - 1"], capsys)
+def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):
+    # exit 1 would claim a certified rejection; an escaping
+    # PrecisionExhausted proved nothing, so it is undecided
+    def stub(P, **kwargs):
+        raise PrecisionExhausted("could not certify roots below 4096 bits")
+
+    monkeypatch.setattr(cli, "classify", stub)
+    code, out, err = run_cli(["certify", "x^3 - x - 1"], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("a", ["10000000000000000", "1000000000000000000000000"])
+def test_certify_cubic_with_coincident_float_seeds_is_accepted(a, capsys):
+    # eigvals seeds the conjugate pair of this cubic as two exact zeros
+    code, out, _ = run_cli(["certify", f"x^3 - {a}x^2 - 1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("profile.schema.json"))
+    assert payload["certification"] == "ExactQ2"
+    assert len(payload["small_roots"]) == 2

@@ -78,6 +78,13 @@ def test_json_round_trip():
     assert IntPolynomial.from_json(PLASTIC.to_json()) == PLASTIC
 
 
+def test_from_json_rejects_float_coefficients():
+    with pytest.raises(TypeError):
+        IntPolynomial.from_json({"coeffs": [1.7, -2.9, 1]})
+    P = IntPolynomial.from_json({"coeffs": [-1, 0, 3, 1]})
+    assert IntPolynomial.from_json(P.to_json()) == P
+
+
 # ---------------------------------------------------------------- arithmetic
 
 def test_ring_operations():

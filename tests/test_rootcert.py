@@ -1,12 +1,14 @@
 """Certified root enclosures, exact Sturm counts, and the dyadic helpers under them."""
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+import spectorus.rootcert as rootcert
 from spectorus.exactnum import (
     bisect_root_dyadic,
     dyadic_abs_bounds,
@@ -21,10 +23,12 @@ from spectorus.exactnum import (
 )
 from spectorus.intpoly import IntPolynomial, parse_poly
 from spectorus.rootcert import (
+    MIN_PRECISION_BITS,
     NotSquarefree,
     PrecisionExhausted,
     count_real_roots,
     isolate_roots,
+    squarefree_by_small_primes,
     sturm_chain,
     chain_is_squarefree,
     variations_at,
@@ -154,6 +158,34 @@ def test_count_agrees_with_numpy_on_squarefree_samples(tail):
     assert count_real_roots(P) == numeric
 
 
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=7))
+def test_small_prime_squarefree_proof_agrees_with_sympy(tail):
+    coeffs = (*tail, 1)
+    if squarefree_by_small_primes(coeffs):
+        poly = sympy.Poly(coeffs[::-1], sympy.Symbol("x"))
+        assert sympy.gcd(poly, poly.diff()).degree() == 0
+
+
+@settings(derandomize=True, max_examples=80)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3),
+    st.lists(st.integers(-9, 9), min_size=0, max_size=3),
+)
+def test_small_prime_squarefree_proof_never_passes_a_square(g_tail, h_tail):
+    g = IntPolynomial((*g_tail, 1))
+    P = g * g * IntPolynomial((*h_tail, 1))
+    assert not squarefree_by_small_primes(P.coeffs)
+
+
+def test_small_prime_squarefree_proof_examples():
+    assert squarefree_by_small_primes(PLASTIC.coeffs)
+    assert squarefree_by_small_primes(GOLDEN.coeffs)
+    # squarefree over Q, yet (x-1)(x+1)(x-4)(x+4)(x-6)(x+6) has a double root
+    # mod 3, 5 and 7, so the proof gives up and the Sturm chain decides
+    assert not squarefree_by_small_primes(parse_poly("x^6 - 53x^4 + 628x^2 - 576").coeffs)
+
+
 # ---------------------------------------------------------------- enclosures
 
 def test_isolate_golden_ratio_squared():
@@ -223,6 +255,56 @@ def test_degree_one_is_exact():
     assert e.is_real_certified
     assert e.re == 7.0
     assert e.radius == 0
+
+
+@pytest.mark.parametrize("bits", [-10, 0, MIN_PRECISION_BITS - 1])
+def test_ceiling_below_first_rung_is_rejected(bits):
+    with pytest.raises(ValueError, match=f">= {MIN_PRECISION_BITS}"):
+        isolate_roots(PLASTIC, Fraction(1, 10**25), max_precision_bits=bits)
+
+
+def _certify_stage_without_reuse(coeffs, centers, k, target, total_real):
+    """Reference certify stage that evaluates P and P' at every center."""
+    n = len(coeffs) - 1
+    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
+    disks = []
+    for a, b in centers:
+        vr, vi, _ = dyadic_eval(coeffs, a, b, k)
+        dr, di, _ = dyadic_eval(der, a, b, k)
+        lo_d = isqrt(dr * dr + di * di)
+        if lo_d == 0:
+            return None
+        r_num = -(-n * isqrt_ceil(vr * vr + vi * vi) // lo_d)
+        if Fraction(r_num, 1 << k) > target:
+            return None
+        disks.append([a, b, r_num, False])
+    touchers = [d for d in disks if abs(d[1]) <= d[2]]
+    if len(touchers) != total_real:
+        return None
+    for d in touchers:
+        d[1], d[3] = 0, True
+    for i, (ai, bi, ri, _) in enumerate(disks):
+        for aj, bj, rj, _ in disks[i + 1 :]:
+            if (ai - aj) ** 2 + (bi - bj) ** 2 <= (ri + rj) ** 2:
+                return None
+    disks.sort(key=lambda d: (d[0], d[1]))
+    return tuple(
+        rootcert.RootEnclosure(a, b, k, Fraction(r, 1 << k), is_real_certified=real)
+        for a, b, r, real in disks
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x^4 + x + 1", "x^5 - x - 1", "x^6 + x + 1", "x^7 - x^3 - 1", "x^8 - 2x^5 + x^2 + 3x - 1"],
+)
+@pytest.mark.parametrize("target", [Fraction(1, 10**10), Fraction(1, 10**40)])
+def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatch):
+    P = parse_poly(text)
+    got = isolate_roots(P, target)
+    assert sum(e.b > 0 for e in got) >= 2  # several conjugate pairs
+    monkeypatch.setattr(rootcert, "_certify_stage", _certify_stage_without_reuse)
+    assert isolate_roots(P, target) == got
 
 
 def test_precision_exhaustion_reports_undecided_enclosures():

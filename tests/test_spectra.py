@@ -1,11 +1,23 @@
 """Spectral classification: exact low-degree tests, interval certification, replay."""
 
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from spectorus.exactnum import sqrt_bounds
+import spectorus.spectra as spectra
+from spectorus.exactnum import nth_root_bounds, sqrt_bounds
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly, power_transform
+from spectorus.rootcert import (
+    PrecisionExhausted,
+    chain_is_squarefree,
+    isolate_roots,
+    squarefree_by_small_primes,
+    sturm_chain,
+    variations_at,
+    variations_at_infinity,
+)
 from spectorus.spectra import (
     REAL_ROOT_LAYOUT,
     BOUNDARY_ROOT,
@@ -16,9 +28,12 @@ from spectorus.spectra import (
     INTERVAL_CERTIFIED,
     MODULUS_SEPARATION,
     NOT_SQUAREFREE,
+    PRECISION_CEILING,
     REJECTED,
     ROOT_BELOW_MINUS_ONE,
+    UNDECIDED,
     WRONG_CONSTANT_TERM,
+    SpectralProfile,
     classify,
     exact_test_q1,
     exact_test_q2,
@@ -226,6 +241,145 @@ def test_profile_json_fields():
     rejected = classify(quadratic(0)).to_json()
     assert rejected["accepted"] is False
     assert rejected["reason"] == BOUNDARY_ROOT
+
+
+# ------------------------------------------------- chain-first stage order
+
+def _chain_first_classify(P, allow_gl=False, force_interval=False):
+    """Reference classify in the earlier stage order: the Sturm chain's
+    squarefree verdict first, then the P(+-1) screens, the Sturm counts and
+    the isolation stages; isolate_roots builds its own chain again."""
+    n, q, c0 = P.degree, P.degree - 1, P.coeffs[0]
+    expected = -1 if n % 2 else 1
+    if (abs(c0) != 1) if allow_gl else (c0 != expected):
+        return spectra._rejected(
+            P, q, WRONG_CONSTANT_TERM, f"constant term {c0}, expected {expected}"
+        )
+    if not force_interval:
+        if n == 2 and c0 == 1:
+            return exact_test_q1(P)
+        if n == 3 and c0 == -1:
+            return exact_test_q2(P)
+    chain = sturm_chain(P.coeffs)
+    if not chain_is_squarefree(chain):
+        return spectra._rejected(P, q, NOT_SQUAREFREE)
+    p1 = sum(P.coeffs)
+    if p1 == 0:
+        return spectra._rejected(P, q, BOUNDARY_ROOT, "root at 1")
+    if p1 > 0:
+        return spectra._rejected(P, q, EXPANDING_ROOT_COUNT, "even number of real roots above 1")
+    pm1 = sum(c if j % 2 == 0 else -c for j, c in enumerate(P.coeffs)) * (-1) ** n
+    if pm1 == 0:
+        return spectra._rejected(P, q, BOUNDARY_ROOT, "root at -1")
+    if pm1 < 0:
+        return spectra._rejected(P, q, ROOT_BELOW_MINUS_ONE, "odd number of real roots below -1")
+    v_inf = variations_at_infinity(chain, positive=True)
+    gt1 = variations_at(chain, Fraction(1)) - v_inf
+    if gt1 != 1:
+        return spectra._rejected(P, q, EXPANDING_ROOT_COUNT, f"{gt1} real roots above 1")
+    below = variations_at_infinity(chain, positive=False) - variations_at(chain, Fraction(-1))
+    if below != 0:
+        return spectra._rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
+    for target, refine_bits in spectra._STAGES:
+        try:
+            encl = isolate_roots(P, target)
+        except PrecisionExhausted:
+            return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
+        bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
+        if len(bigs) != 1:
+            continue
+        big = bigs[0]
+        b_lo, b_hi = big.real_interval()
+        smalls = tuple(e for e in encl if e is not big)
+        t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
+        t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
+        verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+        if verdict is not None:
+            return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
+        b_lo, b_hi = spectra._refine_big_root(P.coeffs, b_lo, b_hi, refine_bits)
+        t_lo = nth_root_bounds(1 / b_hi, q, refine_bits)[0]
+        t_hi = nth_root_bounds(1 / b_lo, q, refine_bits)[1]
+        verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+        if verdict is not None:
+            return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
+        moduli = [e.modulus_interval() for e in smalls]
+        if all(m_lo <= t_lo and t_hi <= m_hi for m_lo, m_hi in moduli):
+            prod_lo, prod_hi = b_lo, b_hi
+            for m_lo, m_hi in moduli:
+                prod_lo, prod_hi = prod_lo * m_lo, prod_hi * m_hi
+            if not (prod_lo <= 1 <= prod_hi):
+                continue
+            lam = (
+                nth_root_bounds(b_lo, q, refine_bits)[0],
+                nth_root_bounds(b_hi, q, refine_bits)[1],
+            )
+            return SpectralProfile(
+                P, q, INTERVAL_CERTIFIED, lam=lam, big_root=big, small_roots=smalls
+            )
+    return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
+
+
+def _box(degree, bound, consts):
+    for rest in itertools.product(range(-bound, bound + 1), repeat=degree - 1):
+        for c0 in consts:
+            yield IntPolynomial((c0, *rest, 1))
+
+
+# squarefree over Q, rejected by a sign screen, but with a double root mod 3,
+# 5 and 7: the small-prime proof gives up and the Sturm chain decides
+_SMALL_PRIME_MISSES = [
+    "x^4 + 4x^3 - 5x^2 - 6x - 1",
+    "x^4 + 5x^3 + 6x^2 - 5x - 1",
+    "x^4 - 2x^3 - 5x^2 - 3x - 1",
+    "x^4 - 3x^3 + 5x^2 - 2x - 1",
+    "x^5 + 2x^4 + 2x^3 - 3x^2 - 3x + 1",
+    "x^6 + 2x^5 - x^4 - x^2 - x - 1",
+]
+
+
+def _built_products():
+    out = [parse_poly(t) for t in _SMALL_PRIME_MISSES]
+    for g in _box(2, 2, (-1, 1)):
+        out.append(g * g)
+        out.append(g * g * IntPolynomial((1, -1, 1)))
+        out.append(IntPolynomial((-1, 1)) * g)
+        out.append(IntPolynomial((-1, 1)) * g * g)
+    for g in _box(3, 1, (-1, 1)):
+        out.append(g * g)
+        out.append(IntPolynomial((-1, 1)) * g)
+    return out
+
+
+def _assert_same_as_chain_first(polys, **kw):
+    for P in polys:
+        got = json.dumps(classify(P, **kw).to_json(), sort_keys=True)
+        want = json.dumps(_chain_first_classify(P, **kw).to_json(), sort_keys=True)
+        assert got == want, P.render()
+
+
+@pytest.mark.parametrize("degree, bound", [(4, 3), (5, 2), (6, 1)])
+@pytest.mark.parametrize("allow_gl", [False, True])
+def test_screen_first_matches_chain_first_on_boxes(degree, bound, allow_gl):
+    consts = (-1, 1) if allow_gl else ((-1) ** degree,)
+    _assert_same_as_chain_first(_box(degree, bound, consts), allow_gl=allow_gl)
+
+
+@pytest.mark.parametrize("degree, bound", [(2, 12), (3, 4)])
+def test_screen_first_matches_chain_first_forced_interval(degree, bound):
+    _assert_same_as_chain_first(
+        _box(degree, bound, (-1, 1)), allow_gl=True, force_interval=True
+    )
+
+
+@pytest.mark.parametrize("force_interval", [False, True])
+def test_screen_first_matches_chain_first_on_built_products(force_interval):
+    polys = _built_products()
+    assert any(not chain_is_squarefree(sturm_chain(P.coeffs)) for P in polys)
+    for text in _SMALL_PRIME_MISSES:
+        P = parse_poly(text)
+        assert not squarefree_by_small_primes(P.coeffs)
+        assert chain_is_squarefree(sturm_chain(P.coeffs))
+    _assert_same_as_chain_first(polys, allow_gl=True, force_interval=force_interval)
 
 
 # ----------------------------------------------------------- irreducibility
