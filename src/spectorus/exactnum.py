@@ -6,7 +6,7 @@ directional rounding, suitable for certification logic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 
 def isqrt_ceil(n: int) -> int:
@@ -71,23 +71,42 @@ def dyadic_abs_bounds(re: int, im: int, e: int) -> tuple[Fraction, Fraction]:
     return Fraction(isqrt(m2), den), Fraction(isqrt_ceil(m2), den)
 
 
+def _scaled_value(coeffs, num: int, den: int) -> int:
+    """den**n * P(num/den) exactly; for den > 0 its sign is that of P(num/den)."""
+    v = coeffs[-1]
+    dk = 1
+    for c in reversed(coeffs[:-1]):
+        dk *= den
+        v = v * num + c * dk
+    return v
+
+
+def _common_numerators(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(a, b, d) with lo = a/d and hi = b/d, d the lcm of their denominators."""
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
 def sign_at(coeffs, x: Fraction) -> int:
     """Exact sign of sum(c_j * X**j) at the rational X = x."""
-    num, den = x.numerator, x.denominator
-    n = len(coeffs) - 1
-    v = coeffs[n]
-    for j in range(n - 1, -1, -1):
-        v = v * num + coeffs[j] * den ** (n - j)
+    v = _scaled_value(coeffs, x.numerator, x.denominator)
     return (v > 0) - (v < 0)
 
 
 def interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation of the polynomial over [lo, hi]."""
-    vlo = vhi = Fraction(coeffs[-1])
+    """Interval Horner evaluation of the polynomial over [lo, hi].
+
+    Runs on integer numerators over the common denominator D of lo and hi:
+    after k steps the bounds are held scaled by D**k.
+    """
+    a, b, D = _common_numerators(lo, hi)
+    vlo = vhi = coeffs[-1]
+    dk = 1
     for c in reversed(coeffs[:-1]):
-        ps = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(ps) + c, max(ps) + c
-    return vlo, vhi
+        dk *= D
+        ps = (vlo * a, vlo * b, vhi * a, vhi * b)
+        vlo, vhi = min(ps) + c * dk, max(ps) + c * dk
+    return Fraction(vlo, dk), Fraction(vhi, dk)
 
 
 def bisect_root_dyadic(
@@ -95,23 +114,26 @@ def bisect_root_dyadic(
 ) -> tuple[Fraction, Fraction]:
     """Shrink a sign-change bracket [lo, hi] to width <= 2**-bits by bisection.
 
-    Requires P(lo) and P(hi) to have strict opposite signs.
+    Requires P(lo) and P(hi) to have strict opposite signs. The bracket is
+    held as L/den and H/den over one common denominator, so each halving
+    is integer work and only the returned pair is built as Fractions.
     """
     slo, shi = sign_at(coeffs, lo), sign_at(coeffs, hi)
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("bracket endpoints must have strict opposite signs")
-    width_target = Fraction(1, 1 << bits)
-    while hi - lo > width_target:
-        mid = (lo + hi) / 2
-        sm = sign_at(coeffs, mid)
-        if sm == 0:
-            eps = (hi - lo) / 4
-            return mid - eps, mid + eps
-        if sm == slo:
-            lo = mid
+    L, H, den = _common_numerators(lo, hi)
+    while (H - L) << bits > den:
+        M = L + H  # the midpoint is M / (2 * den)
+        den <<= 1
+        vm = _scaled_value(coeffs, M, den)
+        if vm == 0:
+            # mid -+ (hi - lo)/4, over the denominator 2 * den
+            return Fraction(2 * M - H + L, den << 1), Fraction(2 * M + H - L, den << 1)
+        if (vm > 0) - (vm < 0) == slo:
+            L, H = M, H << 1
         else:
-            hi = mid
-    return lo, hi
+            L, H = L << 1, M
+    return Fraction(L, den), Fraction(H, den)
 
 
 def frac_to_decimal(x: Fraction, digits: int, round_up: bool) -> str:

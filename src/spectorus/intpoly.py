@@ -138,24 +138,46 @@ _TERM_RE = re.compile(
 )
 
 
+# largest degree parse_poly accepts, in either input form
+MAX_DEGREE = 1000
+
+
+def _parse_int(digits: str, what: str, position: int) -> int:
+    """int(digits) for a regex-checked digit string; too many digits is a parse error."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise PolyParseError(f"{what} has too many digits", position) from None
+
+
 def parse_poly(text: str) -> IntPolynomial:
     """Parse either a comma-separated ascending coefficient list or an expression.
 
     Expression form accepts one variable, integer coefficients, `^` powers and
-    `+`/`-` separated terms, e.g. "x^3 - x - 1".
+    `+`/`-` separated terms, e.g. "x^3 - x - 1". Degrees above MAX_DEGREE are
+    rejected in both forms.
     """
     if not text or not text.strip():
         raise PolyParseError("empty polynomial text")
     if "," in text:
+        raw = text.split(",")
+        if len(raw) > MAX_DEGREE + 1:
+            raise PolyParseError(
+                f"more than {MAX_DEGREE + 1} coefficients (degree cap {MAX_DEGREE})",
+                len(",".join(raw[: MAX_DEGREE + 1])) + 1,
+            )
         coeffs = []
-        for piece in text.split(","):
+        for piece in raw:
             piece = piece.strip()
             try:
                 coeffs.append(int(piece))
             except ValueError:
-                raise PolyParseError(
-                    f"non-integer coefficient {piece!r}", text.find(piece)
-                ) from None
+                message = (
+                    "coefficient has too many digits"
+                    if re.fullmatch(r"[+-]?\d+", piece)
+                    else f"non-integer coefficient {piece!r}"
+                )
+                raise PolyParseError(message, text.find(piece)) from None
         return IntPolynomial(tuple(coeffs))
 
     compact = text.replace(" ", "")
@@ -181,14 +203,16 @@ def parse_poly(text: str) -> IntPolynomial:
         m = _TERM_RE.match(body)
         if not m or (m.group("coeff") is None and m.group("var") is None):
             raise PolyParseError(f"cannot parse term {term!r}", pos)
-        coeff = int(m.group("coeff") or 1) * sign
+        coeff = _parse_int(m.group("coeff") or "1", "coefficient", pos) * sign
         var = m.group("var")
         if var is not None:
             if var_seen is None:
                 var_seen = var
             elif var != var_seen:
                 raise PolyParseError(f"mixed variables {var_seen!r} and {var!r}", pos)
-            power = int(m.group("power") or 1)
+            power = _parse_int(m.group("power") or "1", "exponent", pos)
+            if power > MAX_DEGREE:
+                raise PolyParseError(f"exponent above the degree cap {MAX_DEGREE}", pos)
         else:
             power = 0
         acc[power] = acc.get(power, 0) + coeff

@@ -14,6 +14,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice, product
 from multiprocessing import get_context
 
 import numpy as np
@@ -51,9 +52,7 @@ def _shard_candidates(degree: int, bound: int, det_one: bool, lead: int):
         for c0 in consts:
             yield IntPolynomial((c0, lead, 1))
         return
-    import itertools
-
-    for rest in itertools.product(span, repeat=degree - 2):
+    for rest in product(span, repeat=degree - 2):
         for c0 in consts:
             # ascending order: constant, c_1, ..., c_{n-1}, leading 1
             yield IntPolynomial((c0,) + rest[::-1] + (lead, 1))
@@ -195,15 +194,33 @@ def search(
     )
 
 
-def _oracle_verdict(P: IntPolynomial, tol: float = 1e-6) -> tuple[bool, bool]:
+# candidates per batched eigvals call: bounds the oracle's peak memory
+_ORACLE_CHUNK = 4096
+
+
+def _oracle_roots(polys: list[IntPolynomial]) -> np.ndarray:
+    """Roots of each equal-degree polynomial, one row each, as np.roots finds them.
+
+    The companion matrices are built exactly as np.roots builds them (ones
+    on the subdiagonal, -p[1:]/p[0] in row 0) and solved by one batched
+    eigvals call on the stacked (m, n, n) array.
+    """
+    p = np.array([P.coeffs[::-1] for P in polys], dtype=float)
+    n = p.shape[1] - 1
+    A = np.zeros((len(polys), n, n))
+    A[:, 1:, :-1] = np.eye(n - 1)
+    A[:, 0, :] = -p[:, 1:] / p[:, :1]
+    return np.linalg.eigvals(A).astype(complex)
+
+
+def _oracle_verdict(roots: list[complex], tol: float = 1e-6) -> tuple[bool, bool]:
     """Hardware-precision accept/reject with a near-boundary flag.
 
     Independent route: numpy eigenvalue roots, float moduli, loose tolerance.
     Accept iff there is exactly one real root above 1 and every other root
     has modulus within tol of (big root)**(-1/q).
     """
-    n = P.degree
-    roots = [complex(r) for r in np.roots(P.coeffs[::-1])]
+    n = len(roots)
     near = False
 
     def ambiguous(value: float) -> bool:
@@ -251,28 +268,30 @@ def cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
     accepted_set = {e.poly for e in report.accepted}
     undecided_set = set(report.undecided)
     out: list[dict] = []
-    for P in enumerate_candidates(
+    candidates = enumerate_candidates(
         report.degree, report.coeff_bound, report.det_constraint
-    ):
-        oracle_ok, near = _oracle_verdict(P, tol)
-        if P in accepted_set:
-            verdict = "accepted"
-        elif P in undecided_set:
-            verdict = "undecided"
-        else:
-            verdict = "rejected"
-        report_ok = verdict == "accepted"
-        if oracle_ok == report_ok:
-            continue
-        out.append(
-            {
-                "poly": P.to_json(),
-                "report": verdict,
-                "oracle": "accepted" if oracle_ok else "rejected",
-                "near_boundary": near,
-                "allowed": bool(near and not report_ok),
-            }
-        )
+    )
+    while chunk := list(islice(candidates, _ORACLE_CHUNK)):
+        for P, roots in zip(chunk, _oracle_roots(chunk).tolist()):
+            oracle_ok, near = _oracle_verdict(roots, tol)
+            if P in accepted_set:
+                verdict = "accepted"
+            elif P in undecided_set:
+                verdict = "undecided"
+            else:
+                verdict = "rejected"
+            report_ok = verdict == "accepted"
+            if oracle_ok == report_ok:
+                continue
+            out.append(
+                {
+                    "poly": P.to_json(),
+                    "report": verdict,
+                    "oracle": "accepted" if oracle_ok else "rejected",
+                    "near_boundary": near,
+                    "allowed": bool(near and not report_ok),
+                }
+            )
     return out
 
 

@@ -189,8 +189,11 @@ def exact_test_q2(P: IntPolynomial) -> SpectralProfile:
     a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi)
+    # disc < 0 proves P squarefree with one real root: no second Sturm chain
     pair = tuple(
-        e for e in isolate_roots(P, Fraction(1, 10**24)) if not e.is_real_certified
+        e
+        for e in isolate_roots(P, Fraction(1, 10**24), _real_count=1)
+        if not e.is_real_certified
     )
     return SpectralProfile(P, 2, EXACT_Q2, lam=lam, big_root=big, small_roots=pair)
 

@@ -85,6 +85,25 @@ def test_unparseable_polynomial_exits_three(capsys):
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "x^3 - " + "9" * 5000 + "x^2 - 1",  # beyond the int-string digit limit
+        "x^" + "9" * 5000 + " - 1",
+        "-1, " + "9" * 5000 + ", 0, 1",
+        "x^1001 - x - 1",  # above the degree cap
+        ",".join(["1"] + ["0"] * 1001 + ["1"]),
+    ],
+    ids=["coefficient", "exponent", "comma-coefficient", "degree", "comma-degree"],
+)
+def test_oversized_polynomial_text_exits_three(text, capsys):
+    code, out, err = run_cli(["certify", text], capsys)
+    assert code == 3
+    assert out == ""
+    assert "cannot parse polynomial" in err
+    assert "Traceback" not in err and "9" * 100 not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         [],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spectorus.intpoly import (
+    MAX_DEGREE,
     IntPolynomial,
     PolyParseError,
     discriminant,
@@ -45,6 +46,35 @@ def test_parse_comma_separated_ascending_coefficients():
 
 def test_parse_alternate_variable_letter():
     assert parse_poly("t^2 - 3t + 1") == GOLDEN
+
+
+def test_parse_degree_cap_in_both_forms():
+    assert parse_poly(f"x^{MAX_DEGREE} - 1").degree == MAX_DEGREE
+    assert parse_poly(",".join(["-1"] + ["0"] * (MAX_DEGREE - 1) + ["1"])).degree == MAX_DEGREE
+    with pytest.raises(PolyParseError, match="degree cap") as exc:
+        parse_poly(f"x^3 - x^{MAX_DEGREE + 1} - 1")
+    assert exc.value.position == 3
+    # the cap holds before any coefficient tuple is built
+    with pytest.raises(PolyParseError, match="degree cap"):
+        parse_poly("x^3000000 - x - 1")
+    text = ",".join(["-1"] + ["0"] * MAX_DEGREE + ["1"])
+    with pytest.raises(PolyParseError, match="degree cap") as exc:
+        parse_poly(text)
+    assert exc.value.position == len(text) - 1
+
+
+def test_parse_oversized_digit_strings_are_parse_errors():
+    nines = "9" * 5000
+    with pytest.raises(PolyParseError, match="coefficient has too many digits") as exc:
+        parse_poly(f"x^3 - {nines}x^2 - 1")
+    assert exc.value.position == 3
+    with pytest.raises(PolyParseError, match="exponent has too many digits"):
+        parse_poly(f"x^{nines} - 1")
+    with pytest.raises(PolyParseError, match="coefficient has too many digits") as exc:
+        parse_poly(f"-1, {nines}, 0, 1")
+    assert exc.value.position == 4
+    with pytest.raises(PolyParseError, match="non-integer coefficient"):
+        parse_poly("-1, 1.5, 1")
 
 
 def test_parse_errors_carry_position():

@@ -103,6 +103,106 @@ def test_bisect_root_dyadic_rejects_bad_bracket():
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=64)
 
 
+# The Fraction implementations that the integer-numerator bisection and
+# interval Horner replaced, kept as named oracles. The sign is taken from
+# a plain Fraction sum, independent of exactnum's integer core.
+
+def fraction_sign_oracle(coeffs, x: Fraction) -> int:
+    v = sum(Fraction(c) * x**j for j, c in enumerate(coeffs))
+    return (v > 0) - (v < 0)
+
+
+def fraction_bisect_oracle(coeffs, lo: Fraction, hi: Fraction, bits: int):
+    slo, shi = fraction_sign_oracle(coeffs, lo), fraction_sign_oracle(coeffs, hi)
+    if slo == 0 or shi == 0 or slo == shi:
+        raise ValueError("bracket endpoints must have strict opposite signs")
+    width_target = Fraction(1, 1 << bits)
+    while hi - lo > width_target:
+        mid = (lo + hi) / 2
+        sm = fraction_sign_oracle(coeffs, mid)
+        if sm == 0:
+            eps = (hi - lo) / 4
+            return mid - eps, mid + eps
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def fraction_interval_eval_oracle(coeffs, lo: Fraction, hi: Fraction):
+    vlo = vhi = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        ps = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
+        vlo, vhi = min(ps) + c, max(ps) + c
+    return vlo, vhi
+
+
+def outcome(f, *args):
+    """f(*args), or the ValueError type when f raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    st.lists(st.integers(-9, 9), min_size=2, max_size=7),
+    RATIONALS,
+    RATIONALS,
+    st.integers(0, 60),
+)
+def test_bisect_root_dyadic_matches_fraction_oracle(coeffs, lo, hi, bits):
+    # non-dyadic endpoints, reversed and bad brackets included
+    got = outcome(bisect_root_dyadic, coeffs, lo, hi, bits)
+    assert got == outcome(fraction_bisect_oracle, coeffs, lo, hi, bits)
+    if got is not ValueError:
+        assert all(isinstance(v, Fraction) for v in got)
+
+
+@settings(derandomize=True, max_examples=200)
+@given(
+    st.integers(-20, 20),
+    st.fractions(min_value=Fraction(1, 30), max_value=5, max_denominator=30),
+    st.sampled_from([1, 3, 7, 15]),
+    st.integers(1, 9),
+    st.integers(0, 80),
+)
+def test_bisect_root_dyadic_planted_root_on_a_midpoint(m, w, k, a, bits):
+    # P = (X - m)(X^2 + a) changes sign only at m; the bracket
+    # [m - k*w, m + w] with k = 2^j - 1 puts m on the j-th midpoint
+    coeffs = (-m * a, a, -m, 1)
+    lo, hi = m - k * w, m + w
+    got = bisect_root_dyadic(coeffs, lo, hi, bits)
+    assert got == fraction_bisect_oracle(coeffs, lo, hi, bits)
+    assert got[0] <= m <= got[1]
+
+
+def test_bisect_root_dyadic_midpoint_exit_and_zero_bits():
+    # X^2 - 4 on [1, 3]: the first midpoint is the root 2
+    assert bisect_root_dyadic((-4, 0, 1), Fraction(1), Fraction(3), 10) == (
+        Fraction(3, 2),
+        Fraction(5, 2),
+    )
+    # bits = 0 stops at width <= 1; non-dyadic endpoints keep their denominator
+    lo, hi = bisect_root_dyadic(GOLDEN.coeffs, Fraction(7, 3), Fraction(17, 3), 0)
+    assert (lo, hi) == fraction_bisect_oracle(
+        GOLDEN.coeffs, Fraction(7, 3), Fraction(17, 3), 0
+    )
+    assert hi - lo <= 1 and lo.denominator == 3
+    # a width of exactly 2**-bits meets the target: no extra halving
+    assert bisect_root_dyadic(GOLDEN.coeffs, Fraction(2), Fraction(3), 0) == (2, 3)
+    lo, hi = bisect_root_dyadic(GOLDEN.coeffs, Fraction(2), Fraction(3), 40)
+    assert hi - lo == Fraction(1, 2**40)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7), RATIONALS, RATIONALS)
+def test_interval_eval_matches_fraction_oracle(coeffs, lo, hi):
+    assert interval_eval(coeffs, lo, hi) == fraction_interval_eval_oracle(coeffs, lo, hi)
+
+
 @settings(derandomize=True, max_examples=60)
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=7), RATIONALS)
 def test_sign_at_matches_sympy(coeffs, x):

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly
 from spectorus.spectra import EXACT_Q1, EXACT_Q2, UNDECIDED, SpectralProfile
 from spectorus import searchkit
 from spectorus.searchkit import (
+    SearchReport,
     acceptance_discrepancies,
     cross_check,
     enumerate_candidates,
@@ -186,7 +188,35 @@ def test_cross_check_clean_on_exact_slices():
         assert acceptance_discrepancies(discrepancies) == []
 
 
-def test_cross_check_flags_tampered_report():
+def np_roots_cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
+    """Reference cross-check: one np.roots call per candidate."""
+    accepted_set = {e.poly for e in report.accepted}
+    undecided_set = set(report.undecided)
+    out = []
+    for P in enumerate_candidates(
+        report.degree, report.coeff_bound, report.det_constraint
+    ):
+        roots = [complex(r) for r in np.roots(P.coeffs[::-1])]
+        oracle_ok, near = searchkit._oracle_verdict(roots, tol)
+        verdict = (
+            "accepted"
+            if P in accepted_set
+            else "undecided" if P in undecided_set else "rejected"
+        )
+        if oracle_ok != (verdict == "accepted"):
+            out.append(
+                {
+                    "poly": P.to_json(),
+                    "report": verdict,
+                    "oracle": "accepted" if oracle_ok else "rejected",
+                    "near_boundary": near,
+                    "allowed": bool(near and verdict != "accepted"),
+                }
+            )
+    return out
+
+
+def tampered_2_10():
     report = search(2, 10)
     victim = report.accepted[2]
     tampered = dataclasses.replace(
@@ -194,6 +224,11 @@ def test_cross_check_flags_tampered_report():
         accepted=tuple(e for e in report.accepted if e is not victim),
         rejected={**report.rejected, "tampered": 1},
     )
+    return tampered, victim
+
+
+def test_cross_check_flags_tampered_report():
+    tampered, victim = tampered_2_10()
     discrepancies = cross_check(tampered)
     assert len(discrepancies) == 1
     d = discrepancies[0]
@@ -215,3 +250,36 @@ def test_cross_check_respects_det_constraint_flag():
     report = search(2, 2, det_one=False)
     assert cross_check(report) == []
     assert report.candidate_count == 10
+
+
+def test_batched_oracle_roots_are_bitwise_np_roots_beyond_one_chunk():
+    polys = list(enumerate_candidates(3, 50))
+    assert len(polys) == 10_201 > 2 * searchkit._ORACLE_CHUNK
+    for start in range(0, len(polys), searchkit._ORACLE_CHUNK):
+        chunk = polys[start : start + searchkit._ORACLE_CHUNK]
+        for P, row in zip(chunk, searchkit._oracle_roots(chunk)):
+            ref = np.array([complex(r) for r in np.roots(P.coeffs[::-1])])
+            assert row.tobytes() == ref.tobytes(), P
+
+
+def test_cross_check_matches_per_candidate_np_roots():
+    tampered, _ = tampered_2_10()
+    cubic = search(3, 5)
+    undecided = dataclasses.replace(
+        cubic,
+        accepted=cubic.accepted[1:],
+        undecided=(cubic.accepted[0].poly,),
+    )
+    # cross_check reads only the box and the accepted and undecided sets, so a
+    # report with no acceptances lists every oracle acceptance of a 3-chunk box
+    empty_3_50 = SearchReport(3, 50, True, (), {}, (), 10_201, 0.0)
+    cases = [
+        (tampered, 1e-6, 1),
+        (cubic, 1e-2, 21),  # near-boundary disagreements, all allowed
+        (undecided, 1e-6, 1),
+        (empty_3_50, 1e-6, 954),
+    ]
+    for report, tol, size in cases:
+        got = cross_check(report, tol)
+        assert got == np_roots_cross_check(report, tol)
+        assert len(got) == size

@@ -101,6 +101,19 @@ def test_exact_q2_plastic_cubic():
     assert hi >= Fraction(1150963925257758, 10**15) - Fraction(1, 10**12)
 
 
+def test_exact_q2_builds_no_sturm_chain(monkeypatch):
+    # disc < 0 already proves one real root; isolate_roots is told so
+    import spectorus.rootcert as rootcert
+
+    expected = exact_test_q2(PLASTIC).to_json()
+
+    def no_chain(*args):
+        raise AssertionError("exact_test_q2 built a Sturm chain")
+
+    monkeypatch.setattr(rootcert, "count_real_roots", no_chain)
+    assert exact_test_q2(PLASTIC).to_json() == expected
+
+
 def test_exact_q2_square_transform_of_plastic():
     profile = exact_test_q2(parse_poly("x^3 - 2x^2 + x - 1"))
     assert profile.accepted
