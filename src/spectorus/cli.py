@@ -38,6 +38,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _parse_optional(self, arg_string):
+        # no option starts with a digit: "-1,-1,0,1" is a comma-form polynomial
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _max_precision_bits(flag: int | None = None) -> int:
     """Precision ceiling: the flag when given, else SPECTORUS_MAX_PRECISION, else 4096.

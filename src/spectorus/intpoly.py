@@ -167,7 +167,9 @@ def parse_poly(text: str) -> IntPolynomial:
                 len(",".join(raw[: MAX_DEGREE + 1])) + 1,
             )
         coeffs = []
+        offset = 0  # where the current piece starts in text
         for piece in raw:
+            start, offset = offset, offset + len(piece) + 1
             piece = piece.strip()
             try:
                 coeffs.append(int(piece))
@@ -177,7 +179,7 @@ def parse_poly(text: str) -> IntPolynomial:
                     if re.fullmatch(r"[+-]?\d+", piece)
                     else f"non-integer coefficient {piece!r}"
                 )
-                raise PolyParseError(message, text.find(piece)) from None
+                raise PolyParseError(message, text.find(piece, start)) from None
         return IntPolynomial(tuple(coeffs))
 
     compact = text.replace(" ", "")

@@ -13,15 +13,16 @@ exact integer polynomial identities.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exactnum import (
     bisect_root_dyadic,
     frac_to_decimal,
     interval_eval,
     nth_root_bounds,
-    sign_at,
     sqrt_bounds,
 )
 from .intpoly import IntPolynomial, discriminant, power_transform, reverse
@@ -198,16 +199,6 @@ def exact_test_q2(P: IntPolynomial) -> SpectralProfile:
     return SpectralProfile(P, 2, EXACT_Q2, lam=lam, big_root=big, small_roots=pair)
 
 
-# interval-pipeline stages: (enclosure target radius, refinement bits)
-_STAGES: tuple[tuple[Fraction, int], ...] = (
-    (Fraction(1, 10**10), 260),
-    (Fraction(1, 10**25), 560),
-    (Fraction(1, 10**55), 1200),
-    (Fraction(1, 10**120), 2600),
-    (Fraction(1, 10**250), 5400),
-)
-
-
 def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
     """Exact sign screens at +-1, or None when both pass.
 
@@ -235,7 +226,6 @@ def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
 def _interval_classify(
     P: IntPolynomial, chain, max_precision_bits: int
 ) -> SpectralProfile:
-    coeffs = P.coeffs
     q = P.degree - 1
 
     # exact Sturm counts
@@ -249,7 +239,11 @@ def _interval_classify(
         return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
     real_count = v_minf - v_inf
 
-    for target, refine_bits in _STAGES:
+    # one ladder to the caller's ceiling: a straddle squares the target and
+    # doubles the refinement bits. PrecisionExhausted ends it, as the radii all
+    # reach 0 only if each root is a Gaussian-integer unit, and one exceeds 1
+    for i in itertools.count():
+        target, refine_bits = Fraction(1, 10 ** (10 << i)), 260 << i
         try:
             encl = isolate_roots(
                 P, target, max_precision_bits=max_precision_bits, _real_count=real_count
@@ -257,56 +251,38 @@ def _interval_classify(
         except PrecisionExhausted:
             return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
 
-        big_candidates = [
-            e
-            for e in encl
-            if e.is_real_certified and e.real_interval()[0] > 1
-        ]
-        if len(big_candidates) != 1:
+        bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
+        if len(bigs) != 1:
             continue  # enclosures too coarse to isolate the expanding root from 1
-        big = big_candidates[0]
+        big = bigs[0]
         b_lo, b_hi = big.real_interval()
         smalls = tuple(e for e in encl if e is not big)
 
-        # coarse target interval for 1/lambda = (big root)**(-1/q)
-        t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
-        t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
-
-        verdict = _separation_verdict(smalls, t_lo, t_hi)
-        if verdict is not None:
-            return _rejected(P, q, MODULUS_SEPARATION, verdict)
-
-        # no separation: refine the target interval far below the enclosure
-        # radii so containment is decidable, then re-test
-        b_lo, b_hi = _refine_big_root(coeffs, b_lo, b_hi, refine_bits)
-        t_lo = nth_root_bounds(1 / b_hi, q, refine_bits)[0]
-        t_hi = nth_root_bounds(1 / b_lo, q, refine_bits)[1]
-        verdict = _separation_verdict(smalls, t_lo, t_hi)
-        if verdict is not None:
-            return _rejected(P, q, MODULUS_SEPARATION, verdict)
-        if all(
-            m_lo <= t_lo and t_hi <= m_hi
-            for m_lo, m_hi in (e.modulus_interval() for e in smalls)
-        ):
-            lam_lo = nth_root_bounds(b_lo, q, refine_bits)[0]
-            lam_hi = nth_root_bounds(b_hi, q, refine_bits)[1]
-            # Vieta consistency: the enclosure product must allow |product| = 1
-            prod_lo, prod_hi = b_lo, b_hi
-            for e in smalls:
-                m_lo, m_hi = e.modulus_interval()
-                prod_lo, prod_hi = prod_lo * m_lo, prod_hi * m_hi
-            if not (prod_lo <= 1 <= prod_hi):
-                continue
-            return SpectralProfile(
-                P,
-                q,
-                INTERVAL_CERTIFIED,
-                lam=(lam_lo, lam_hi),
-                big_root=big,
-                small_roots=smalls,
-            )
-        # straddling intervals: escalate to the next stage
-    return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
+        # target interval for 1/lambda = (big root)**(-1/q), coarse first, then
+        # from a bracket refined far below the enclosure radii so containment is
+        # decidable. The bracket holds one simple root, irrational since a
+        # rational root of monic P divides P(0) = +-1
+        for bits in (100, refine_bits):
+            if bits == refine_bits:
+                b_lo, b_hi = bisect_root_dyadic(P.coeffs, b_lo, b_hi, bits)
+            t_lo = nth_root_bounds(1 / b_hi, q, bits)[0]
+            t_hi = nth_root_bounds(1 / b_lo, q, bits)[1]
+            verdict = _separation_verdict(smalls, t_lo, t_hi)
+            if verdict is not None:
+                return _rejected(P, q, MODULUS_SEPARATION, verdict)
+        m_los, m_his = zip(*(e.modulus_interval() for e in smalls))
+        if not (max(m_los) <= t_lo and t_hi <= min(m_his)):
+            continue  # straddling intervals
+        # Vieta consistency: the enclosure product must allow |product| = 1
+        if not b_lo * prod(m_los) <= 1 <= b_hi * prod(m_his):
+            continue
+        lam = (
+            nth_root_bounds(b_lo, q, refine_bits)[0],
+            nth_root_bounds(b_hi, q, refine_bits)[1],
+        )
+        return SpectralProfile(
+            P, q, INTERVAL_CERTIFIED, lam=lam, big_root=big, small_roots=smalls
+        )
 
 
 def _separation_verdict(smalls, t_lo: Fraction, t_hi: Fraction) -> str | None:
@@ -321,20 +297,6 @@ def _separation_verdict(smalls, t_lo: Fraction, t_hi: Fraction) -> str | None:
                 f"root near {e.center:.6g} has modulus above the target interval"
             )
     return None
-
-
-def _refine_big_root(
-    coeffs, b_lo: Fraction, b_hi: Fraction, bits: int
-) -> tuple[Fraction, Fraction]:
-    """Tighten the expanding-root bracket by exact dyadic bisection."""
-    s_lo, s_hi = sign_at(coeffs, b_lo), sign_at(coeffs, b_hi)
-    if s_lo == 0:
-        return b_lo, b_lo  # bracket endpoint is the root, exactly
-    if s_hi == 0:
-        return b_hi, b_hi
-    if s_lo == s_hi:
-        return b_lo, b_hi  # enclosure is one-sided; keep the certified interval
-    return bisect_root_dyadic(coeffs, b_lo, b_hi, bits)
 
 
 def classify(

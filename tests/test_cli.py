@@ -78,6 +78,34 @@ def test_certify_undecided_exits_two(capsys, monkeypatch):
     assert payload["certification"] == "Undecided"
 
 
+def test_certify_genuine_undecided_at_float_rung_ceiling(capsys):
+    # the float rung cannot certify these roots; the default ceiling can
+    poly = "x^4 - 781790x^3 - 280801x^2 - 595706x + 1"
+    code, out, _ = run_cli(["certify", poly, "--max-precision-bits", "53"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("profile.schema.json"))
+    assert payload["certification"] == "Undecided"
+    assert payload["reason"] == "precision_ceiling"
+    code, out, _ = run_cli(["certify", poly], capsys)
+    assert code == 1
+    assert json.loads(out)["reason"] == "modulus_separation"
+
+
+@pytest.mark.parametrize("command", ["certify", "replay", "build", "factor"])
+def test_comma_form_starting_with_minus_is_a_polynomial(command, capsys):
+    code, out, err = run_cli([command, "-1,-1,0,1"], capsys)
+    assert (code, out) == run_cli([command, "--", "-1,-1,0,1"], capsys)[:2]
+    assert code == 0 and out and err == ""
+
+
+def test_comma_form_starting_with_minus_keeps_later_flags(capsys):
+    code, out, _ = run_cli(["certify", "-1,-1,0,1", "--force-interval"], capsys)
+    assert code == 0
+    assert json.loads(out)["certification"] == "IntervalCertified"
+    assert run_cli(["verify-ot", "--s", "-1"], capsys)[0] == 3
+
+
 def test_unparseable_polynomial_exits_three(capsys):
     code, _, err = run_cli(["certify", "x^^2"], capsys)
     assert code == 3

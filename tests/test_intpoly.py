@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from spectorus.intpoly import (
@@ -87,6 +88,16 @@ def test_parse_errors_carry_position():
         parse_poly("1.5x")
     with pytest.raises(PolyParseError):
         parse_poly("")
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("1,,2", 2), ("1, 2, ", 5), ("-1,-", 3), (" 1, x, 2", 4)],
+)
+def test_comma_form_error_positions(text, position):
+    with pytest.raises(PolyParseError, match="non-integer coefficient") as exc:
+        parse_poly(text)
+    assert exc.value.position == position
 
 
 def test_render_round_trip_examples():
@@ -297,6 +308,27 @@ def test_discriminant_cubic_formula_agreement():
                 - 4 * b ** 3 - 27 * c ** 2
             )
             assert discriminant(P) == closed
+
+
+# differential checks against sympy on monic polynomials of degree 2-6
+MONIC = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+).map(lambda tail: IntPolynomial((*tail, 1)))
+
+
+@settings(derandomize=True, max_examples=150)
+@given(MONIC)
+def test_discriminant_matches_sympy(P):
+    assert discriminant(P) == sympy.Poly(P.coeffs[::-1], sympy.Symbol("x")).discriminant()
+
+
+@settings(derandomize=True, max_examples=150)
+@given(MONIC, st.integers(1, 4))
+def test_power_transform_matches_sympy_resultant(P, m):
+    # Res_y(P(y), x - y^m) is the monic polynomial whose roots are the r^m
+    x, y = sympy.symbols("x y")
+    res = sympy.resultant(sympy.Poly(P.coeffs[::-1], y).as_expr(), x - y**m, y)
+    assert power_transform(P, m).coeffs == tuple(sympy.Poly(res, x).all_coeffs()[::-1])
 
 
 # ---------------------------------------------------------------- factoring

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import spectorus.spectra as spectra
-from spectorus.exactnum import nth_root_bounds, sqrt_bounds
+from spectorus.exactnum import bisect_root_dyadic, nth_root_bounds, sqrt_bounds
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly, power_transform
 from spectorus.rootcert import (
     PrecisionExhausted,
@@ -206,6 +206,60 @@ def test_classify_degree5_modulus_separation():
         assert profile.reason == MODULUS_SEPARATION, text
 
 
+# the float rung cannot certify its roots; the next rung separates them
+FLOAT_RUNG_MISS = parse_poly("x^4 - 781790x^3 - 280801x^2 - 595706x + 1")
+
+
+def test_classify_undecided_at_float_rung_ceiling():
+    profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
+    assert profile.certification == UNDECIDED
+    assert profile.reason == PRECISION_CEILING
+    assert not profile.accepted
+    profile = classify(FLOAT_RUNG_MISS)
+    assert profile.certification == REJECTED
+    assert profile.reason == MODULUS_SEPARATION
+
+
+def _record_isolation(monkeypatch):
+    """Stub out separation; log (target, raised) per isolate_roots call and
+    ("bisect", bits) per refinement of the expanding root."""
+    calls = []
+
+    def recording(P, target, **kw):
+        try:
+            out = isolate_roots(P, target, **kw)
+        except PrecisionExhausted:
+            calls.append((target, True))
+            raise
+        calls.append((target, False))
+        return out
+
+    def bisect(coeffs, lo, hi, bits):
+        calls.append(("bisect", bits))
+        return bisect_root_dyadic(coeffs, lo, hi, bits)
+
+    monkeypatch.setattr(spectra, "_separation_verdict", lambda *args: None)
+    monkeypatch.setattr(spectra, "isolate_roots", recording)
+    monkeypatch.setattr(spectra, "bisect_root_dyadic", bisect)
+    return calls
+
+
+@pytest.mark.parametrize("ceiling, passes", [(1024, 6), (240, 4)])
+def test_straddle_escalates_until_the_ceiling(monkeypatch, ceiling, passes):
+    # (x^2 - x + 1)(x^3 - x - 1): no small modulus equals the target, so
+    # without separation every pass straddles
+    calls = _record_isolation(monkeypatch)
+    profile = classify(parse_poly("x^5 - x^4 - 1"), max_precision_bits=ceiling)
+    assert profile.certification == UNDECIDED
+    assert profile.reason == PRECISION_CEILING
+    # each straddle squares the target and doubles the refinement bits
+    expected = []
+    for i in range(passes - 1):
+        expected += [(Fraction(1, 10 ** (10 << i)), False), ("bisect", 260 << i)]
+    expected.append((Fraction(1, 10 ** (10 << (passes - 1))), True))
+    assert calls == expected
+
+
 def test_classify_rejects_reducible_product_of_accepted():
     profile = classify(GOLDEN * PLASTIC)
     assert profile.certification == REJECTED
@@ -261,7 +315,7 @@ def test_profile_json_fields():
 def _chain_first_classify(P, allow_gl=False, force_interval=False):
     """Reference classify in the earlier stage order: the Sturm chain's
     squarefree verdict first, then the P(+-1) screens, the Sturm counts and
-    the isolation stages; isolate_roots builds its own chain again."""
+    the first isolation pass; isolate_roots builds its own chain again."""
     n, q, c0 = P.degree, P.degree - 1, P.coeffs[0]
     expected = -1 if n % 2 else 1
     if (abs(c0) != 1) if allow_gl else (c0 != expected):
@@ -293,35 +347,34 @@ def _chain_first_classify(P, allow_gl=False, force_interval=False):
     below = variations_at_infinity(chain, positive=False) - variations_at(chain, Fraction(-1))
     if below != 0:
         return spectra._rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
-    for target, refine_bits in spectra._STAGES:
-        try:
-            encl = isolate_roots(P, target)
-        except PrecisionExhausted:
-            return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
-        bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
-        if len(bigs) != 1:
-            continue
-        big = bigs[0]
-        b_lo, b_hi = big.real_interval()
-        smalls = tuple(e for e in encl if e is not big)
-        t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
-        t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
-        verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
-        if verdict is not None:
-            return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
-        b_lo, b_hi = spectra._refine_big_root(P.coeffs, b_lo, b_hi, refine_bits)
-        t_lo = nth_root_bounds(1 / b_hi, q, refine_bits)[0]
-        t_hi = nth_root_bounds(1 / b_lo, q, refine_bits)[1]
-        verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
-        if verdict is not None:
-            return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
-        moduli = [e.modulus_interval() for e in smalls]
-        if all(m_lo <= t_lo and t_hi <= m_hi for m_lo, m_hi in moduli):
-            prod_lo, prod_hi = b_lo, b_hi
-            for m_lo, m_hi in moduli:
-                prod_lo, prod_hi = prod_lo * m_lo, prod_hi * m_hi
-            if not (prod_lo <= 1 <= prod_hi):
-                continue
+    # the first pass of the isolation route: every comparison below decides in it
+    target, refine_bits = Fraction(1, 10**10), 260
+    try:
+        encl = isolate_roots(P, target)
+    except PrecisionExhausted:
+        return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
+    bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
+    assert len(bigs) == 1, f"{P.render()} straddles the first pass"
+    big = bigs[0]
+    b_lo, b_hi = big.real_interval()
+    smalls = tuple(e for e in encl if e is not big)
+    t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
+    t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
+    verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+    if verdict is not None:
+        return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
+    b_lo, b_hi = bisect_root_dyadic(P.coeffs, b_lo, b_hi, refine_bits)
+    t_lo = nth_root_bounds(1 / b_hi, q, refine_bits)[0]
+    t_hi = nth_root_bounds(1 / b_lo, q, refine_bits)[1]
+    verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+    if verdict is not None:
+        return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
+    moduli = [e.modulus_interval() for e in smalls]
+    if all(m_lo <= t_lo and t_hi <= m_hi for m_lo, m_hi in moduli):
+        prod_lo, prod_hi = b_lo, b_hi
+        for m_lo, m_hi in moduli:
+            prod_lo, prod_hi = prod_lo * m_lo, prod_hi * m_hi
+        if prod_lo <= 1 <= prod_hi:
             lam = (
                 nth_root_bounds(b_lo, q, refine_bits)[0],
                 nth_root_bounds(b_hi, q, refine_bits)[1],
@@ -329,7 +382,7 @@ def _chain_first_classify(P, allow_gl=False, force_interval=False):
             return SpectralProfile(
                 P, q, INTERVAL_CERTIFIED, lam=lam, big_root=big, small_roots=smalls
             )
-    return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
+    raise AssertionError(f"{P.render()} straddles the first pass")
 
 
 def _box(degree, bound, consts):
@@ -364,10 +417,12 @@ def _built_products():
 
 
 def _assert_same_as_chain_first(polys, **kw):
+    # exact equality of the profiles: the Fraction lambda interval and the
+    # enclosures, not only their rounded JSON
     for P in polys:
-        got = json.dumps(classify(P, **kw).to_json(), sort_keys=True)
-        want = json.dumps(_chain_first_classify(P, **kw).to_json(), sort_keys=True)
+        got, want = classify(P, **kw), _chain_first_classify(P, **kw)
         assert got == want, P.render()
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), P.render()
 
 
 @pytest.mark.parametrize("degree, bound", [(4, 3), (5, 2), (6, 1)])
