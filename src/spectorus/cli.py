@@ -128,6 +128,9 @@ def build_parser() -> _Parser:
     p.add_argument("poly")
     p.add_argument("--max-degree", type=int, default=8)
     p.add_argument("--output")
+    # handlers report a bad value through their own subcommand's usage
+    for p in sub.choices.values():
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](parser, args)
+        return _HANDLERS[args.command](args.subparser, args)
     except PrecisionExhausted as exc:
         # exit 1 would claim a certified rejection; nothing was proven
         sys.stderr.write(f"{parser.prog}: undecided: {exc}\n")

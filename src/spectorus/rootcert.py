@@ -3,7 +3,8 @@
 Root finding runs in three layers: hardware eigenvalue seeds, Newton polish at
 increasing mpmath precision, and an exact a-posteriori certification step in
 dyadic integer arithmetic. Every returned disk provably contains exactly one
-root. Real-root counts come from integer Sturm chains, no floating point.
+root. Real-root counts come from integer Sturm chains or Descartes' rule, and
+root counts in a disk from the Schur-Cohn recursion: no floating point.
 """
 from __future__ import annotations
 
@@ -46,9 +47,7 @@ def _strip(cs: list[int]) -> list[int]:
 
 
 def _primitive(cs: list[int]) -> list[int]:
-    g = 0
-    for c in cs:
-        g = gcd(g, abs(c))
+    g = gcd(*cs)
     return [c // g for c in cs] if g > 1 else cs
 
 
@@ -164,6 +163,55 @@ def variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
     return _variations(signs)
 
 
+def variations_above_one(coeffs) -> int:
+    """Sign variations of the coefficients of P(X + 1).
+
+    By Descartes' rule this bounds the number of roots of P above 1 and has
+    the same parity; so 0 proves none and 1 proves exactly one (Collins and
+    Akritas, 1976). The Taylor shift by 1 is integer work, O(n**2).
+    """
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += a[j + 1]
+    positive = [c > 0 for c in a if c]
+    return sum(x != y for x, y in zip(positive, positive[1:]))
+
+
+def disk_root_count(coeffs, u: int, v: int) -> int | None:
+    """Roots of P in the open disk |z| < u/v, by the Schur-Cohn recursion.
+
+    Counts the unit-disk roots of p(z) = v**n * P(u*z/v) at formal degree n.
+    Each step takes Tp = a_0*p - a_n*p* (p* reversed), of formal degree one
+    less, divided by its content; with gamma = a_0**2 - a_n**2 = Tp(0),
+    N(p) = N(Tp) if gamma > 0 and n - N(Tp) if gamma < 0 (Henrici, Applied
+    and Computational Complex Analysis I, 6.8). The rule assumes no root on
+    the circle, and Tp has the same roots there as p, so it holds whenever P
+    has no root of modulus u/v. For monic P and rational 0 < u/v < 1 it has
+    none: (u/v)**2 = z*conj(z) would be a rational algebraic integer below 1.
+    None means some gamma is 0: no verdict.
+    """
+    n = len(coeffs) - 1
+    p = []
+    up, vp = 1, v**n
+    for c in coeffs:
+        p.append(c * up * vp)
+        up *= u
+        vp //= v
+    count, sign = 0, 1
+    for m in range(n, 0, -1):
+        a0, am = p[0], p[m]
+        gamma = a0 * a0 - am * am
+        if gamma == 0:
+            return None
+        if gamma < 0:
+            count += sign * m
+            sign = -sign
+        p = _primitive([a0 * p[j] - am * p[m - j] for j in range(m)])
+    return count
+
+
 def count_real_roots(P: IntPolynomial) -> int:
     chain = sturm_chain(P.coeffs)
     if not chain_is_squarefree(chain):
@@ -228,12 +276,17 @@ class RootEnclosure:
         }
 
 
-def _float_seeds(coeffs: tuple[int, ...]) -> list[complex]:
+def float_roots(coeffs: tuple[int, ...]) -> list[complex]:
+    """Hardware roots of monic P: eigenvalues of its companion matrix."""
     n = len(coeffs) - 1
     companion = np.zeros((n, n))
     companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
     companion[:, -1] = [-float(c) for c in coeffs[:-1]]
-    roots = np.linalg.eigvals(companion)
+    return np.linalg.eigvals(companion).tolist()
+
+
+def _float_seeds(coeffs: tuple[int, ...]) -> list[complex]:
+    roots = float_roots(coeffs)
     der = [j * c for j, c in enumerate(coeffs)][1:]
 
     def horner(cs, x):

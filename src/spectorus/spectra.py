@@ -4,8 +4,8 @@ A polynomial of degree q+1 is accepted when it is the characteristic
 polynomial of an integer matrix with determinant one, a single expanding real
 eigenvalue lambda**q > 1, and q remaining eigenvalues all of modulus
 1/lambda. Degrees 2 and 3 are decided by exact integer tests; higher degrees
-run a certified interval pipeline whose rejections are proofs (exact sign
-screens, Sturm counts, or modulus-interval separation).
+end in a rejection that is a proof (exact sign screens, Descartes or Sturm
+counts, a Schur-Cohn disk count, or modulus-interval separation) or undecided.
 
 The replay operations re-execute the two halves of the supporting argument
 (power-transform coincidence for even q, reversal coincidence for odd q) as
@@ -16,13 +16,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import floor, ldexp, prod
 
 from .exactnum import (
     bisect_root_dyadic,
     frac_to_decimal,
     interval_eval,
     nth_root_bounds,
+    sign_at,
     sqrt_bounds,
 )
 from .intpoly import IntPolynomial, discriminant, power_transform, reverse
@@ -32,9 +33,12 @@ from .rootcert import (
     PrecisionExhausted,
     RootEnclosure,
     chain_is_squarefree,
+    disk_root_count,
+    float_roots,
     isolate_roots,
     squarefree_by_small_primes,
     sturm_chain,
+    variations_above_one,
     variations_at,
     variations_at_infinity,
 )
@@ -54,6 +58,7 @@ ROOT_BELOW_MINUS_ONE = "root_below_minus_one"
 REAL_ROOT_LAYOUT = "real_root_layout"
 MODULUS_SEPARATION = "modulus_separation"
 PRECISION_CEILING = "precision_ceiling"
+EQUAL_MODULI_UNPROVEN = "equal_moduli_unproven"
 
 
 class CannotCertify(ValueError):
@@ -164,13 +169,17 @@ def exact_test_q1(P: IntPolynomial) -> SpectralProfile:
     )
 
 
-def exact_test_q2(P: IntPolynomial) -> SpectralProfile:
+def exact_test_q2(
+    P: IntPolynomial, max_precision_bits: int = DEFAULT_PRECISION_CEILING
+) -> SpectralProfile:
     """Exact degree-3 decision for X**3 + a*X**2 + b*X - 1.
 
     Accept iff discriminant < 0 (one real root plus a conjugate pair) and
     P(1) = a + b < 0 (the real root exceeds 1). The product of the roots is 1,
     so the pair modulus is automatically (real root)**(-1/2) = 1/lambda: the
-    modulus condition costs nothing beyond integer arithmetic.
+    modulus condition costs nothing beyond integer arithmetic. The enclosures
+    of the pair need isolation within max_precision_bits; past it the
+    verdict is Undecided / precision_ceiling.
     """
     if not P.is_monic or P.degree != 3 or P.coeffs[0] != -1:
         raise ValueError("exact_test_q2 requires a monic X^3 + a*X^2 + b*X - 1")
@@ -191,11 +200,13 @@ def exact_test_q2(P: IntPolynomial) -> SpectralProfile:
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi)
     # disc < 0 proves P squarefree with one real root: no second Sturm chain
-    pair = tuple(
-        e
-        for e in isolate_roots(P, Fraction(1, 10**24), _real_count=1)
-        if not e.is_real_certified
-    )
+    try:
+        encl = isolate_roots(
+            P, Fraction(1, 10**24), max_precision_bits=max_precision_bits, _real_count=1
+        )
+    except PrecisionExhausted:
+        return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
+    pair = tuple(e for e in encl if not e.is_real_certified)
     return SpectralProfile(P, 2, EXACT_Q2, lam=lam, big_root=big, small_roots=pair)
 
 
@@ -223,22 +234,63 @@ def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
     return None
 
 
-def _interval_classify(
-    P: IntPolynomial, chain, max_precision_bits: int
-) -> SpectralProfile:
-    q = P.degree - 1
-
-    # exact Sturm counts
+def _sturm_counts(chain) -> tuple[int, int, int]:
+    """Real roots above 1, below -1 and in all, from a squarefree Sturm chain."""
     v_inf = variations_at_infinity(chain, positive=True)
     v_minf = variations_at_infinity(chain, positive=False)
-    gt1 = variations_at(chain, Fraction(1)) - v_inf
-    if gt1 != 1:
-        return _rejected(P, q, EXPANDING_ROOT_COUNT, f"{gt1} real roots above 1")
+    above = variations_at(chain, Fraction(1)) - v_inf
     below = v_minf - variations_at(chain, Fraction(-1))
-    if below != 0:
-        return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
-    real_count = v_minf - v_inf
+    return above, below, v_minf - v_inf
 
+
+def _disk_radius(P: IntPolynomial, q: int) -> tuple[int, int] | None:
+    """(u, v): the dyadic u/v of least denominator strictly between the
+    smallest small-root modulus and 1/lambda, from float roots; None when
+    they do not order so. The floats only choose; _disk_separation proves."""
+    roots = float_roots(P.coeffs)
+    big = min(
+        (i for i, z in enumerate(roots) if z.real > 1),
+        key=lambda i: abs(roots[i].imag),
+        default=None,
+    )
+    if big is None:
+        return None
+    target = roots[big].real ** (-1 / q)
+    low = min(abs(z) for i, z in enumerate(roots) if i != big)
+    # at the least such k one integer lies in between; floats order moduli
+    # closer than about 2**-52 by noise alone
+    for k in range(1, 53):
+        u = floor(ldexp(low, k)) + 1
+        if u < ldexp(target, k):
+            return u, 1 << k
+    return None
+
+
+def _disk_separation(P: IntPolynomial, q: int, u: int, v: int) -> str | None:
+    """Proof that a small root has modulus below 1/lambda, from rho = u/v.
+
+    Needs P(1) < 0 and lambda**q the only real root above 1, as the sign
+    screens and real-root counts prove. Then P(rho**-q) > 0 proves
+    rho**-q > lambda**q, that is rho < 1/lambda, and a root in |z| < rho
+    lies below 1/lambda. The product of the q small moduli is lambda**-q,
+    so not all of them can equal 1/lambda. None when a check fails.
+    """
+    if not 0 < u < v:
+        return None  # P(x) > 0 places x above lambda**q only for x > 1
+    if sign_at(P.coeffs, Fraction(v**q, u**q)) <= 0:
+        return None
+    count = disk_root_count(P.coeffs, u, v)
+    if not count:
+        return None
+    return f"{count} root{'s' * (count > 1)} in |z| < {u}/{v} < 1/lambda"
+
+
+def _interval_classify(
+    P: IntPolynomial, real_count: int | None, max_precision_bits: int
+) -> SpectralProfile:
+    """The isolation route: certified enclosures of every root, then
+    separation or containment of the moduli against 1/lambda."""
+    q = P.degree - 1
     # one ladder to the caller's ceiling: a straddle squares the target and
     # doubles the refinement bits. PrecisionExhausted ends it, as the radii all
     # reach 0 only if each root is a Gaussian-integer unit, and one exceeds 1
@@ -276,6 +328,9 @@ def _interval_classify(
         # Vieta consistency: the enclosure product must allow |product| = 1
         if not b_lo * prod(m_los) <= 1 <= b_hi * prod(m_his):
             continue
+        if q >= 3:
+            # enclosures cannot prove equal moduli; for q <= 2 Vieta does
+            return SpectralProfile(P, q, UNDECIDED, reason=EQUAL_MODULI_UNPROVEN)
         lam = (
             nth_root_bounds(b_lo, q, refine_bits)[0],
             nth_root_bounds(b_hi, q, refine_bits)[1],
@@ -330,19 +385,39 @@ def classify(
         if n == 2 and c0 == 1:
             return exact_test_q1(P)
         if n == 3 and c0 == -1:
-            return exact_test_q2(P)
-    # stage order: sign screens, squarefree proof, Sturm counts, isolation.
-    # not_squarefree outranks a screen verdict, so a screen rejection stands
-    # only once a small prime or the Sturm chain proves P squarefree
+            return exact_test_q2(P, max_precision_bits)
+    # stage order: sign screens, squarefree proof, real-root counts (Descartes,
+    # else Sturm), disk count, isolation. not_squarefree outranks a screen
+    # verdict, so a screen rejection stands only once a small prime or the
+    # Sturm chain proves P squarefree
     screen = _sign_screen(P)
-    if screen is not None and squarefree_by_small_primes(P.coeffs):
+    squarefree = squarefree_by_small_primes(P.coeffs)
+    if screen is not None and squarefree:
         return screen
-    chain = sturm_chain(P.coeffs)
-    if not chain_is_squarefree(chain):
-        return _rejected(P, q, NOT_SQUAREFREE)
-    if screen is not None:
-        return screen
-    return _interval_classify(P, chain, max_precision_bits)
+    if (
+        screen is None
+        and squarefree
+        and variations_above_one(P.coeffs) == 1
+        and variations_above_one([-c if j % 2 else c for j, c in enumerate(P.coeffs)]) == 0
+    ):
+        real_count = None  # counts settled; isolate_roots counts all if reached
+    else:
+        chain = sturm_chain(P.coeffs)
+        if not chain_is_squarefree(chain):
+            return _rejected(P, q, NOT_SQUAREFREE)
+        if screen is not None:
+            return screen
+        above, below, real_count = _sturm_counts(chain)
+        if above != 1:
+            return _rejected(P, q, EXPANDING_ROOT_COUNT, f"{above} real roots above 1")
+        if below != 0:
+            return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
+    if q >= 3:  # degrees 2 and 3 keep the isolation route's details
+        rho = _disk_radius(P, q)
+        detail = rho and _disk_separation(P, q, *rho)
+        if detail:
+            return _rejected(P, q, MODULUS_SEPARATION, detail)
+    return _interval_classify(P, real_count, max_precision_bits)
 
 
 def irreducible_by_modulus(P: IntPolynomial, profile: SpectralProfile) -> bool:

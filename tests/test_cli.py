@@ -10,6 +10,7 @@ import pytest
 import spectorus.cli as cli
 import spectorus.geomlab as geomlab
 import spectorus.searchkit as searchkit
+import spectorus.spectra as spectra
 from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
 from spectorus.rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
@@ -78,10 +79,16 @@ def test_certify_undecided_exits_two(capsys, monkeypatch):
     assert payload["certification"] == "Undecided"
 
 
-def test_certify_genuine_undecided_at_float_rung_ceiling(capsys):
-    # the float rung cannot certify these roots; the default ceiling can
+def test_certify_genuine_undecided_at_float_rung_ceiling(capsys, monkeypatch):
+    # the float rung cannot certify these roots; the default ceiling can.
+    # The exact disk count decides at any ceiling
     poly = "x^4 - 781790x^3 - 280801x^2 - 595706x + 1"
-    code, out, _ = run_cli(["certify", poly, "--max-precision-bits", "53"], capsys)
+    argv = ["certify", poly, "--max-precision-bits", "53"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert json.loads(out)["reason"] == "modulus_separation"
+    monkeypatch.setattr(spectra, "_disk_radius", lambda P, q: None)
+    code, out, _ = run_cli(argv, capsys)
     assert code == 2
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("profile.schema.json"))
@@ -144,6 +151,27 @@ def test_oversized_polynomial_text_exits_three(text, capsys):
 def test_usage_errors_exit_three(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 3
+
+
+def test_semantic_errors_print_the_subcommand_usage(capsys):
+    code, out, err = run_cli(["verify-ot", "--s", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus verify-ot ")
+    assert "spectorus verify-ot: error: --s and --samples must be positive" in err
+    code, _, err = run_cli(["certify", "x - 2"], capsys)
+    assert code == 3
+    assert err.startswith("usage: spectorus certify ")
+
+
+def test_certify_cubic_honours_the_precision_ceiling(capsys):
+    # the accepted cubic's pair is isolated to radius 1e-24: not at 53 bits
+    code, out, _ = run_cli(["certify", "x^3 - x - 1", "--max-precision-bits", "53"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("profile.schema.json"))
+    assert (payload["certification"], payload["reason"]) == ("Undecided", "precision_ceiling")
+    code, out, _ = run_cli(["certify", "x^3 - x - 1", "--max-precision-bits", "120"], capsys)
+    assert (code, out) == run_cli(["certify", "x^3 - x - 1"], capsys)[:2]
 
 
 def test_semantic_argument_errors_exit_three(capsys):

@@ -358,6 +358,27 @@ def test_factor_oracle_product_reassembles():
     assert prod == P
 
 
+FACTORS = st.lists(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=3), min_size=1, max_size=4
+).filter(lambda tails: 2 <= sum(map(len, tails)) <= 8)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(FACTORS)
+def test_factor_oracle_matches_sympy_factor_list(tails):
+    P = IntPolynomial((1,))
+    for tail in tails:
+        P = P * IntPolynomial((*tail, 1))
+    x = sympy.Symbol("x")
+    content, pairs = sympy.factor_list(sympy.Poly(P.coeffs[::-1], x).as_expr(), x)
+    assert content == 1
+    want = [
+        tuple(sympy.Poly(f, x).all_coeffs()[::-1]) for f, mult in pairs for _ in range(mult)
+    ]
+    # as multisets: a factor X comes first, not in sorted order
+    assert sorted(f.coeffs for f in factor_oracle(P)) == sorted(want)
+
+
 def test_power_transform_order_overflow_guard():
     # large powers still produce exact integers, no float contamination
     T = power_transform(GOLDEN, 12)

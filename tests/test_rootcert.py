@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -27,10 +28,12 @@ from spectorus.rootcert import (
     NotSquarefree,
     PrecisionExhausted,
     count_real_roots,
+    disk_root_count,
     isolate_roots,
     squarefree_by_small_primes,
     sturm_chain,
     chain_is_squarefree,
+    variations_above_one,
     variations_at,
     variations_at_infinity,
 )
@@ -284,6 +287,71 @@ def test_small_prime_squarefree_proof_examples():
     # squarefree over Q, yet (x-1)(x+1)(x-4)(x+4)(x-6)(x+6) has a double root
     # mod 3, 5 and 7, so the proof gives up and the Sturm chain decides
     assert not squarefree_by_small_primes(parse_poly("x^6 - 53x^4 + 628x^2 - 576").coeffs)
+
+
+# ---------------------------------------------------- Descartes and Schur-Cohn
+
+@settings(derandomize=True, max_examples=150)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7))
+def test_descartes_variations_bound_the_sympy_counts(tail):
+    # roots above 1 of P, and of P(-X) (those of P below -1)
+    P = IntPolynomial((*tail, 1))
+    assume(chain_is_squarefree(sturm_chain(P.coeffs)) and 0 not in (P(1), P(-1)))
+    poly = sympy.Poly(P.coeffs[::-1], sympy.Symbol("x"))
+    for coeffs, roots in (
+        (P.coeffs, poly.count_roots(inf=1)),
+        ([-c if j % 2 else c for j, c in enumerate(P.coeffs)], poly.count_roots(sup=-1)),
+    ):
+        v = variations_above_one(coeffs)
+        assert v >= roots and (v - roots) % 2 == 0
+        if v <= 1:
+            assert v == roots
+
+
+def test_descartes_variations_examples():
+    assert variations_above_one(PLASTIC.coeffs) == 1  # X^3 + 3X^2 + 2X - 1
+    assert variations_above_one(GOLDEN.coeffs) == 1  # X^2 - X - 1
+    # (X - 2)(X - 3)(X - 4) shifts to (X - 1)(X - 2)(X - 3): three roots
+    assert variations_above_one(parse_poly("x^3 - 9x^2 + 26x - 24").coeffs) == 3
+    # V = 2 with no root above 1: X^2 - X + 1 shifts to X^2 + X + 1, so 0
+    assert variations_above_one(parse_poly("x^2 - 3x + 3").coeffs) == 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8).flatmap(
+        lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    ),
+    st.integers(-9, 9).filter(bool),
+    st.integers(1, 4096),
+    st.integers(1, 4096),
+)
+def test_disk_root_count_matches_mpmath_moduli(tail, lead, u, v):
+    coeffs = (*tail, lead)
+    count = disk_root_count(coeffs, u, v)
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+        gaps = [abs(z) - mpmath.mpf(u) / v for z in roots]
+        # a root on the circle |z| = u/v is outside the rule's hypothesis
+        assume(all(abs(g) > mpmath.mpf(10) ** -20 for g in gaps))
+    # None is the declared no-verdict (a zero gamma); the box tests of
+    # test_spectra check that it does not happen there
+    assert count is None or count == sum(1 for g in gaps if g < 0)
+
+
+def test_disk_root_count_examples():
+    # X^2 - 3X + 1: roots 0.382 and 2.618
+    assert disk_root_count(GOLDEN.coeffs, 1, 4) == 0
+    assert disk_root_count(GOLDEN.coeffs, 1, 2) == 1
+    assert disk_root_count(GOLDEN.coeffs, 3, 1) == 2
+    # plastic: the pair has modulus 0.8688, the real root is 1.3247
+    assert disk_root_count(PLASTIC.coeffs, 13, 16) == 0
+    assert disk_root_count(PLASTIC.coeffs, 7, 8) == 2
+    assert disk_root_count(PLASTIC.coeffs, 4, 3) == 3
+    # a root at 0 and a non-monic leading coefficient
+    assert disk_root_count((0, -3, 2), 1, 1) == 1
+    # |a_0| = |a_n| at the first step: no verdict
+    assert disk_root_count((1, 3, 1), 1, 1) is None
 
 
 # ---------------------------------------------------------------- enclosures

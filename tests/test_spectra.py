@@ -1,20 +1,27 @@
 """Spectral classification: exact low-degree tests, interval certification, replay."""
 
+import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
 
 import spectorus.spectra as spectra
 from spectorus.exactnum import bisect_root_dyadic, nth_root_bounds, sqrt_bounds
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly, power_transform
 from spectorus.rootcert import (
+    DEFAULT_PRECISION_CEILING,
     PrecisionExhausted,
     chain_is_squarefree,
+    disk_root_count,
     isolate_roots,
     squarefree_by_small_primes,
     sturm_chain,
+    variations_above_one,
     variations_at,
     variations_at_infinity,
 )
@@ -22,6 +29,7 @@ from spectorus.spectra import (
     REAL_ROOT_LAYOUT,
     BOUNDARY_ROOT,
     CannotCertify,
+    EQUAL_MODULI_UNPROVEN,
     EXACT_Q1,
     EXACT_Q2,
     EXPANDING_ROOT_COUNT,
@@ -44,6 +52,7 @@ from spectorus.spectra import (
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 
 def quadratic(t: int) -> IntPolynomial:
@@ -210,7 +219,17 @@ def test_classify_degree5_modulus_separation():
 FLOAT_RUNG_MISS = parse_poly("x^4 - 781790x^3 - 280801x^2 - 595706x + 1")
 
 
-def test_classify_undecided_at_float_rung_ceiling():
+def _no_disk_stage(monkeypatch):
+    """Make the disk count give no verdict, so the isolation route decides."""
+    monkeypatch.setattr(spectra, "_disk_radius", lambda P, q: None)
+
+
+def test_classify_undecided_at_float_rung_ceiling(monkeypatch):
+    # the disk count needs no precision ladder: it decides at any ceiling
+    profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
+    assert profile.certification == REJECTED
+    assert profile.reason == MODULUS_SEPARATION
+    _no_disk_stage(monkeypatch)
     profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
     assert profile.certification == UNDECIDED
     assert profile.reason == PRECISION_CEILING
@@ -221,8 +240,10 @@ def test_classify_undecided_at_float_rung_ceiling():
 
 
 def _record_isolation(monkeypatch):
-    """Stub out separation; log (target, raised) per isolate_roots call and
-    ("bisect", bits) per refinement of the expanding root."""
+    """Stub out the disk count and separation; log (target, raised) per
+    isolate_roots call and ("bisect", bits) per refinement of the
+    expanding root."""
+    _no_disk_stage(monkeypatch)
     calls = []
 
     def recording(P, target, **kw):
@@ -413,14 +434,26 @@ def _built_products():
     for g in _box(3, 1, (-1, 1)):
         out.append(g * g)
         out.append(IntPolynomial((-1, 1)) * g)
+    # squarefree products of distinct factors, some past the counts
+    quadratics = list(_box(2, 2, (-1, 1)))
+    out.extend(g * h for g, h in itertools.combinations(quadratics, 2))
+    out.extend(g * h for g in quadratics for h in _box(3, 1, (-1, 1)))
     return out
+
+
+# the detail of a disk-count rejection
+DISK_DETAIL = re.compile(r"(1 root|[2-9] roots) in \|z\| < [1-9][0-9]*/[1-9][0-9]* < 1/lambda")
 
 
 def _assert_same_as_chain_first(polys, **kw):
     # exact equality of the profiles: the Fraction lambda interval and the
-    # enclosures, not only their rounded JSON
+    # enclosures, not only their rounded JSON. Only the detail of a degree >= 4
+    # modulus rejection differs: the disk count decides those
     for P in polys:
         got, want = classify(P, **kw), _chain_first_classify(P, **kw)
+        if P.degree >= 4 and want.reason == MODULUS_SEPARATION:
+            assert DISK_DETAIL.fullmatch(got.detail), (P.render(), got.detail)
+            got = dataclasses.replace(got, detail=want.detail)
         assert got == want, P.render()
         assert json.dumps(got.to_json()) == json.dumps(want.to_json()), P.render()
 
@@ -448,6 +481,105 @@ def test_screen_first_matches_chain_first_on_built_products(force_interval):
         assert not squarefree_by_small_primes(P.coeffs)
         assert chain_is_squarefree(sturm_chain(P.coeffs))
     _assert_same_as_chain_first(polys, allow_gl=True, force_interval=force_interval)
+
+
+# ------------------------------------------- Descartes and disk-count stages
+
+def _assert_stages_match_isolation(polys):
+    """Where Descartes settles the counts, Sturm gives the same; where the
+    disk count rejects, the isolation route rejects for the same reason.
+    Returns how many inputs reached the disk count."""
+    reached = 0
+    for P in polys:
+        q = P.degree - 1
+        if abs(P.coeffs[0]) != 1 or spectra._sign_screen(P) is not None:
+            continue
+        chain = sturm_chain(P.coeffs)
+        if not chain_is_squarefree(chain):
+            continue
+        above, below, real_count = spectra._sturm_counts(chain)
+        negated = [-c if j % 2 else c for j, c in enumerate(P.coeffs)]
+        if variations_above_one(P.coeffs) == 1 and variations_above_one(negated) == 0:
+            assert (above, below) == (1, 0), P.render()
+        if (above, below) != (1, 0) or q < 3:
+            continue
+        reached += 1
+        rho = spectra._disk_radius(P, q)
+        detail = rho and spectra._disk_separation(P, q, *rho)
+        assert detail, P.render()  # every such input here is decided
+        want = spectra._interval_classify(P, real_count, DEFAULT_PRECISION_CEILING)
+        assert (want.certification, want.reason) == (REJECTED, MODULUS_SEPARATION)
+    return reached
+
+
+@pytest.mark.parametrize("degree, bound", [(4, 3), (5, 2), (6, 1)])
+@pytest.mark.parametrize("allow_gl", [False, True])
+def test_descartes_and_disk_stages_match_isolation_on_boxes(degree, bound, allow_gl):
+    consts = (-1, 1) if allow_gl else ((-1) ** degree,)
+    assert _assert_stages_match_isolation(_box(degree, bound, consts)) > 0
+
+
+def test_descartes_and_disk_stages_match_isolation_on_built_products():
+    assert _assert_stages_match_isolation(_built_products()) > 0
+
+
+def test_descartes_bound_of_three_falls_back_to_sturm():
+    # V(P(X + 1)) = 3 allows one or three roots above 1; Sturm tells them apart
+    P = parse_poly("x^4 - 12x^3 + 28x^2 - 19x + 1")
+    Q = parse_poly("x^4 - 20x^3 + 40x^2 - 23x + 1")
+    assert variations_above_one(P.coeffs) == variations_above_one(Q.coeffs) == 3
+    profile = classify(P)
+    assert (profile.reason, profile.detail) == (EXPANDING_ROOT_COUNT, "3 real roots above 1")
+    assert classify(Q).reason == MODULUS_SEPARATION
+
+
+def test_disk_separation_needs_rho_below_one():
+    # X^3 - 6X^2 + 5X - 1 is positive at (7/5)^-2 and has two roots in
+    # |z| < 7/5, but P(x) > 0 locates x above the expanding root only for x > 1
+    P = parse_poly("x^3 - 6x^2 + 5x - 1")
+    assert disk_root_count(P.coeffs, 7, 5) == 2
+    assert spectra._disk_separation(P, 2, 7, 5) is None
+
+
+def test_disk_separation_needs_rho_below_inverse_lambda():
+    # the plastic pair has modulus 1/lambda = 0.8688: |z| < 7/8 holds both
+    # roots, yet none lies below 1/lambda; P((7/8)^-2) < 0 says rho > 1/lambda
+    assert disk_root_count(PLASTIC.coeffs, 7, 8) == 2
+    assert spectra._disk_separation(PLASTIC, 2, 7, 8) is None
+    assert spectra._disk_separation(PLASTIC, 2, 13, 16) is None  # none inside
+    # (x^2 - x + 1)(x^3 - x - 1): the plastic pair lies below 1/lambda = 0.9322
+    P = parse_poly("x^5 - x^4 - 1")
+    assert spectra._disk_radius(P, 4) == (7, 8)
+    assert spectra._disk_separation(P, 4, 7, 8) == "2 roots in |z| < 7/8 < 1/lambda"
+    assert classify(P).detail == "2 roots in |z| < 7/8 < 1/lambda"
+
+
+def test_interval_route_certifies_no_layout_above_q_two(monkeypatch):
+    # widened small-root enclosures contain 1/lambda, as equal moduli would:
+    # Vieta proves q <= 2, but containment proves nothing for q >= 3
+    def widened(P, target, **kw):
+        return tuple(
+            e if e.is_real_certified and e.real_interval()[0] > 1
+            else dataclasses.replace(e, radius=Fraction(2))
+            for e in isolate_roots(P, target, **kw)
+        )
+
+    _no_disk_stage(monkeypatch)
+    monkeypatch.setattr(spectra, "isolate_roots", widened)
+    profile = classify(parse_poly("x^5 - x^4 - 1"))
+    assert (profile.certification, profile.reason) == (UNDECIDED, EQUAL_MODULI_UNPROVEN)
+    assert not profile.accepted
+    with open(SCHEMA_DIR / "profile.schema.json") as fh:
+        jsonschema.validate(profile.to_json(), json.load(fh))
+    assert classify(PLASTIC, force_interval=True).certification == INTERVAL_CERTIFIED
+    assert classify(GOLDEN, force_interval=True).certification == INTERVAL_CERTIFIED
+
+
+def test_exact_q2_honours_the_precision_ceiling():
+    # the pair is isolated to radius 1e-24, beyond the float rung
+    profile = classify(PLASTIC, max_precision_bits=53)
+    assert (profile.certification, profile.reason) == (UNDECIDED, PRECISION_CEILING)
+    assert classify(PLASTIC, max_precision_bits=120) == classify(PLASTIC)
 
 
 # ----------------------------------------------------------- irreducibility
