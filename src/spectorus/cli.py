@@ -11,11 +11,10 @@ import json
 import os
 import sys
 
-from .geomlab import build_model, verify_torus_report
+# only the exact layers load here; each verb imports the rest of what it
+# reaches, so a cold certify never loads numpy or mpmath before it needs them
 from .intpoly import IntPolynomial, PolyParseError, factor_oracle, parse_poly
-from .otkahler import HESS_STEP_REL, verify_ot_report
 from .rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
-from .searchkit import cross_check, search
 from .spectra import (
     REJECTED,
     UNDECIDED,
@@ -121,7 +120,7 @@ def build_parser() -> _Parser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-rel", type=float, default=HESS_STEP_REL)
+    p.add_argument("--step-rel", type=float, default=None)  # HESS_STEP_REL, set in _cmd_verify_ot
     p.add_argument("--output")
 
     p = sub.add_parser("factor", help="exhaustive integer factor oracle")
@@ -135,6 +134,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_search(parser: _Parser, args) -> int:
+    from .searchkit import cross_check, search
+
     try:
         report = search(
             args.degree,
@@ -214,6 +215,8 @@ def _cmd_build(parser: _Parser, args) -> int:
     P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code
+    from .geomlab import build_model
+
     model = build_model(P, prof)
     payload = {
         "certificate": model.cert.to_json(),
@@ -232,17 +235,20 @@ def _cmd_verify_torus(parser: _Parser, args) -> int:
     P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code
+    from .geomlab import verify_torus_report
+
     report = verify_torus_report(P, samples=args.samples, seed=args.seed, profile=prof)
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 
 
 def _cmd_verify_ot(parser: _Parser, args) -> int:
+    from .otkahler import HESS_STEP_REL, verify_ot_report
+
     if args.s < 1 or args.samples < 1:
         parser.error("--s and --samples must be positive")
-    report = verify_ot_report(
-        args.s, samples=args.samples, seed=args.seed, step_rel=args.step_rel
-    )
+    step_rel = HESS_STEP_REL if args.step_rel is None else args.step_rel
+    report = verify_ot_report(args.s, samples=args.samples, seed=args.seed, step_rel=step_rel)
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 

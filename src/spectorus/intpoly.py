@@ -370,6 +370,10 @@ def _divides_exactly(P: IntPolynomial, G: IntPolynomial) -> IntPolynomial | None
     return IntPolynomial(tuple(out))
 
 
+def _factor_order(f: IntPolynomial) -> tuple:
+    return f.degree, f.coeffs
+
+
 def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
     """Brute-force factorization into monic integer factors; a slow trusted oracle.
 
@@ -385,8 +389,8 @@ def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
     if n <= 1:
         return [P]
     if P.coeffs[0] == 0:
-        x = IntPolynomial((0, 1))
-        return [x] + factor_oracle(IntPolynomial(P.coeffs[1:]), max_degree)
+        rest = factor_oracle(IntPolynomial(P.coeffs[1:]), max_degree)
+        return sorted([IntPolynomial((0, 1))] + rest, key=_factor_order)
 
     p0, p1, pm1 = P.coeffs[0], P.evaluate(1), P.evaluate(-1)
     norm = isqrt(sum(c * c for c in P.coeffs)) + 1
@@ -425,6 +429,6 @@ def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
             assert quot is not None
             return sorted(
                 factor_oracle(g, max_degree) + factor_oracle(quot, max_degree),
-                key=lambda f: (f.degree, f.coeffs),
+                key=_factor_order,
             )
     return [P]

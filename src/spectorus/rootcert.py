@@ -8,20 +8,35 @@ root counts in a disk from the Schur-Cohn recursion: no floating point.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-import mpmath
-import numpy as np
-
 from .exactnum import dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
 from .intpoly import IntPolynomial
 
 DEFAULT_PRECISION_CEILING = 4096
 MIN_PRECISION_BITS = 53  # first rung of the precision ladder: hardware float seeds
+
+# numpy (as np) and mpmath load on first use: the exact stages decide most
+# verdicts without them. Both stay module globals, so a replaced alias (the
+# benchmark tracer's proxy) is what every call here reads.
+_LAZY_MODULES = {"np": "numpy", "mpmath": "mpmath"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = globals()[name] = importlib.import_module(_LAZY_MODULES[name])
+    return module
+
+
+def _lazy(name: str):
+    """The module global np or mpmath, imported on first use."""
+    return globals().get(name) or __getattr__(name)
 
 
 class NotSquarefree(ValueError):
@@ -276,18 +291,37 @@ class RootEnclosure:
         }
 
 
-def float_roots(coeffs: tuple[int, ...]) -> list[complex]:
-    """Hardware roots of monic P: eigenvalues of its companion matrix."""
+def _finite(zs) -> bool:
+    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
+
+
+def float_roots(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Hardware roots of monic P: eigenvalues of its companion matrix.
+
+    None when a coefficient or a root lies beyond the float range.
+    """
+    try:
+        column = [-float(c) for c in coeffs[:-1]]
+    except OverflowError:
+        return None
+    np = _lazy("np")
     n = len(coeffs) - 1
     companion = np.zeros((n, n))
     companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
-    companion[:, -1] = [-float(c) for c in coeffs[:-1]]
-    return np.linalg.eigvals(companion).tolist()
+    companion[:, -1] = column
+    roots = np.linalg.eigvals(companion).tolist()
+    return roots if _finite(roots) else None
 
 
-def _float_seeds(coeffs: tuple[int, ...]) -> list[complex]:
+def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Float roots after two Newton steps; None when they leave the float range."""
     roots = float_roots(coeffs)
-    der = [j * c for j, c in enumerate(coeffs)][1:]
+    if roots is None:
+        return None
+    try:  # P' can leave the float range where P does not
+        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
+    except OverflowError:
+        return None
 
     def horner(cs, x):
         v = 0.0 + 0.0j
@@ -304,10 +338,11 @@ def _float_seeds(coeffs: tuple[int, ...]) -> list[complex]:
                 break
             x -= horner(coeffs, x) / d
         out.append(x)
-    return out
+    return out if _finite(out) else None
 
 
 def _mpmath_polish(coeffs: tuple[int, ...], seeds, prec: int):
+    mpmath = _lazy("mpmath")
     der = [j * c for j, c in enumerate(coeffs)][1:]
     desc = list(reversed(coeffs))
     der_desc = list(reversed(der))
@@ -325,11 +360,12 @@ def _mpmath_polish(coeffs: tuple[int, ...], seeds, prec: int):
 
 
 def _polyroots_seeds(coeffs: tuple[int, ...], prec: int):
-    """Durand-Kerner seeds from mpmath.polyroots, for when Newton seeds collide.
+    """Durand-Kerner seeds from mpmath.polyroots, for colliding or missing float seeds.
 
     polyroots stops on an absolute error, so the working precision grows by
     the bit size of the Cauchy root bound; cleanup=False keeps tiny parts.
     """
+    mpmath = _lazy("mpmath")
     extra = (1 + max(abs(c) for c in coeffs)).bit_length() + 20
     with mpmath.workprec(prec + 20):
         try:
@@ -456,26 +492,29 @@ def isolate_roots(
 
     coeffs = P.coeffs
     last: tuple[RootEnclosure, ...] = ()
+    centers: list[tuple[int, int]] = []  # those of the previous rung, until replaced
     for prec in _precision_ladder(max_precision_bits):
         k = prec + 8
-        if prec == MIN_PRECISION_BITS:
-            seeds = _float_seeds(coeffs)
+        seeds = _float_seeds(coeffs) if prec == MIN_PRECISION_BITS else None
+        if seeds is not None:
             centers = [
                 (_dyadic_center(z.real, k), _dyadic_center(z.imag, k)) for z in seeds
             ]
         else:
-            # the ladder starts at the float rung, so a previous rung always exists
+            mpmath = _lazy("mpmath")
             seeds_m = None
-            if len(set(prev_centers)) < len(prev_centers):
-                # Newton never separates equal centers (the pair of
+            if len(set(centers)) < P.degree:
+                # no float seeds (a coefficient or root beyond the float range),
+                # or equal centers, which Newton never separates (the pair of
                 # X^3 + aX^2 - 1 for a <= -5e15 is seeded as two exact zeros)
                 seeds_m = _polyroots_seeds(coeffs, prec)
             if seeds_m is None:
+                if not centers:
+                    continue
                 with mpmath.workprec(prec + 20):
                     den = mpmath.mpf(1 << prev_k)
                     seeds_m = [
-                        (mpmath.mpf(a) / den, mpmath.mpf(b) / den)
-                        for a, b in prev_centers
+                        (mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in centers
                     ]
             polished = _mpmath_polish(coeffs, seeds_m, prec)
             with mpmath.workprec(prec + 40):
@@ -486,7 +525,7 @@ def isolate_roots(
         certified = _certify_stage(coeffs, centers, k, target, _real_count)
         if certified is not None:
             return certified
-        prev_centers, prev_k = centers, k
+        prev_k = k
         last = tuple(
             RootEnclosure(a, b, k, Fraction(1), undecided=True) for a, b in centers
         )

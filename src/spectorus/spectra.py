@@ -246,8 +246,11 @@ def _sturm_counts(chain) -> tuple[int, int, int]:
 def _disk_radius(P: IntPolynomial, q: int) -> tuple[int, int] | None:
     """(u, v): the dyadic u/v of least denominator strictly between the
     smallest small-root modulus and 1/lambda, from float roots; None when
-    they do not order so. The floats only choose; _disk_separation proves."""
+    they do not order so or leave the float range. The floats only choose;
+    _disk_separation proves."""
     roots = float_roots(P.coeffs)
+    if roots is None:
+        return None
     big = min(
         (i for i, z in enumerate(roots) if z.real > 1),
         key=lambda i: abs(roots[i].imag),

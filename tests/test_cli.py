@@ -372,6 +372,12 @@ def test_factor_composite(capsys):
     assert sorted(payload["rendered"]) == sorted(["x - 1", "x + 1", "x^2 + 1"])
 
 
+def test_factor_lists_x_in_the_order_of_the_other_factors(capsys):
+    code, out, _ = run_cli(["factor", "x^5 - 2x^3 - 8x"], capsys)
+    assert code == 0
+    assert json.loads(out)["rendered"] == ["x - 2", "x", "x + 2", "x^2 + 2"]
+
+
 def test_factor_irreducible(capsys):
     code, out, _ = run_cli(["factor", "x^3 - x - 1"], capsys)
     assert code == 0
@@ -438,3 +444,30 @@ def test_certify_cubic_with_coincident_float_seeds_is_accepted(a, capsys):
     jsonschema.validate(payload, load_schema("profile.schema.json"))
     assert payload["certification"] == "ExactQ2"
     assert len(payload["small_roots"]) == 2
+
+
+BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
+
+
+@pytest.mark.parametrize(
+    "argv, verdicts",
+    [
+        (["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"], {"ExactQ2", "Undecided"}),
+        (["certify", f"x^5 - {BEYOND_FLOATS}x^4 + x^2 - 1"], {"Rejected", "Undecided"}),
+        (["certify", f"x^4 - {BEYOND_FLOATS}x^3 + x^2 - 1", "--gl"], {"Rejected", "Undecided"}),
+        # coefficients that fit a double but float roots that do not
+        (["certify", f"x^5 - {'7' * 150}x^4 + x^2 - 1", "--max-precision-bits", "53"],
+         {"Rejected", "Undecided"}),
+    ],
+    ids=["q2-accepted", "degree-5", "gl-quartic", "float-roots-overflow"],
+)
+def test_certify_beyond_the_float_range_ends_in_a_verdict(argv, verdicts, capsys):
+    # without float seeds the isolation starts from mpmath.polyroots
+    code, out, err = run_cli(argv, capsys)
+    assert err == ""
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("profile.schema.json"))
+    assert payload["certification"] in verdicts
+    assert code == {"Rejected": 1, "Undecided": 2}.get(payload["certification"], 0)
+    if payload["certification"] == "Undecided":
+        assert payload["reason"] == "precision_ceiling"

@@ -1,0 +1,155 @@
+"""What a cold start loads: the package's lazy exports and the CLI's per-verb imports.
+
+The subprocess checks run the CLI as `python -m spectorus.cli` does, in a
+fresh interpreter, and report which of the heavy modules it left loaded.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import spectorus
+from spectorus import rootcert
+from spectorus.intpoly import parse_poly
+
+SRC = Path(spectorus.__file__).resolve().parents[1]
+HEAVY = (
+    "multiprocessing",
+    "mpmath",
+    "numpy",
+    "spectorus.geomlab",
+    "spectorus.otkahler",
+    "spectorus.searchkit",
+)
+
+PROBE = f"""
+import io, json, runpy, sys
+argv = json.loads(sys.argv[1])
+stdout, sys.stdout = sys.stdout, io.StringIO()
+sys.argv = ["spectorus", *argv]
+code = None
+try:
+    runpy.run_module("spectorus.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in {HEAVY!r} if m in sys.modules]
+stdout.write(json.dumps({{"exit": code, "loaded": loaded}}))
+"""
+
+
+def _fresh(code: str, *args: str) -> str:
+    path = [str(SRC), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return proc.stdout
+
+
+def _cold_cli(*argv: str) -> dict:
+    return json.loads(_fresh(PROBE, json.dumps(argv)))
+
+
+@pytest.mark.parametrize(
+    "poly, code",
+    [
+        ("x^2 - 3x + 1", 0),  # exact q = 1 acceptance
+        ("x^3 - x^2 + x - 1", 1),  # exact q = 2 rejection: root at 1
+        ("x^4 - 2x^3 + x - 1", 1),  # wrong constant term
+        ("x^5 - x^4 + 2x - 1", 1),  # P(1) sign screen
+    ],
+)
+def test_cold_certify_loads_no_heavy_module(poly, code):
+    assert _cold_cli("certify", poly) == {"exit": code, "loaded": []}
+
+
+def test_cold_certify_of_an_accepted_cubic_loads_numpy_and_mpmath_only():
+    # the conjugate pair is isolated: float seeds, then mpmath polish
+    assert _cold_cli("certify", "x^3 - 2x^2 - 1") == {"exit": 0, "loaded": ["mpmath", "numpy"]}
+
+
+def test_cold_factor_loads_no_heavy_module():
+    assert _cold_cli("factor", "x^4 - 1") == {"exit": 0, "loaded": []}
+
+
+def test_importing_the_package_imports_no_submodule():
+    probe = """
+import json, sys
+import spectorus
+before = sorted(m for m in sys.modules if m.startswith("spectorus."))
+spectorus.search, spectorus.spectra.classify
+after = sorted(m for m in sys.modules if m.startswith("spectorus."))
+print(json.dumps([before, "spectorus.searchkit" in after, "spectorus.geomlab" in after]))
+"""
+    assert json.loads(_fresh(probe)) == [[], True, False]
+
+
+# ---------------------------------------------------------------- lazy exports
+
+def test_every_export_resolves():
+    assert len(spectorus.__all__) == len(set(spectorus.__all__)) == 52
+    for name in spectorus.__all__:
+        getattr(spectorus, name)
+    assert spectorus.classify is spectorus.spectra.classify
+    assert spectorus.__version__ == "0.1.0"
+
+
+def test_exports_are_listed_by_dir():
+    assert set(spectorus.__all__) <= set(dir(spectorus))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from spectorus import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(spectorus.__all__)
+
+
+def test_unknown_attributes_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spectorus.no_such_name  # noqa: B018
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rootcert.no_such_name  # noqa: B018
+    assert not hasattr(spectorus, "cli_main")
+
+
+# ---------------------------------------------------------------- lazy numpy and mpmath
+
+class _Alias:
+    """Stands in for a module alias: overrides some attributes, forwards the rest."""
+
+    def __init__(self, target, **overrides):
+        self._target = target
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._target, name)
+
+
+def test_root_finding_reads_numpy_and_mpmath_through_the_module_aliases(monkeypatch):
+    import mpmath
+    import numpy
+
+    assert rootcert.np is numpy and rootcert.mpmath is mpmath
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    eigvals = counting("eigvals", numpy.linalg.eigvals)
+    monkeypatch.setattr(rootcert, "np", _Alias(numpy, linalg=_Alias(numpy.linalg, eigvals=eigvals)))
+    monkeypatch.setattr(rootcert, "mpmath", _Alias(mpmath, polyval=counting("polyval", mpmath.polyval)))
+    rootcert.isolate_roots(parse_poly("x^3 - 2x^2 - 1"), Fraction(1, 10**24))
+    assert calls["eigvals"] == 1
+    assert calls["polyval"] > 0

@@ -375,8 +375,10 @@ def test_factor_oracle_matches_sympy_factor_list(tails):
     want = [
         tuple(sympy.Poly(f, x).all_coeffs()[::-1]) for f, mult in pairs for _ in range(mult)
     ]
-    # as multisets: a factor X comes first, not in sorted order
-    assert sorted(f.coeffs for f in factor_oracle(P)) == sorted(want)
+    factors = factor_oracle(P)
+    assert sorted(f.coeffs for f in factors) == sorted(want)
+    # listed by (degree, coefficients), a factor X included
+    assert factors == sorted(factors, key=lambda f: (f.degree, f.coeffs))
 
 
 def test_power_transform_order_overflow_guard():

@@ -484,6 +484,42 @@ def test_precision_exhaustion_reports_undecided_enclosures():
     assert all(e.to_json()["undecided"] for e in enc)
 
 
+def test_isolation_without_float_seeds_starts_from_polyroots(monkeypatch):
+    # a coefficient or root beyond the float range leaves the float rung without seeds
+    P = parse_poly("x^5 - x^4 - 1")
+    target = Fraction(1, 10**12)
+    want = isolate_roots(P, target)
+    polyroots = rootcert._polyroots_seeds
+    rungs = []
+
+    def recording(coeffs, prec):
+        rungs.append(prec)
+        return polyroots(coeffs, prec)
+
+    monkeypatch.setattr(rootcert, "_float_seeds", lambda coeffs: None)
+    monkeypatch.setattr(rootcert, "_polyroots_seeds", recording)
+    got = isolate_roots(P, target)
+    assert rungs == [MIN_PRECISION_BITS]
+    assert [e.is_real_certified for e in got] == [e.is_real_certified for e in want]
+    for e, w in zip(got, want):
+        gap = abs(e.center - w.center)
+        assert gap <= float(e.radius + w.radius)
+    monkeypatch.setattr(rootcert, "_polyroots_seeds", lambda coeffs, prec: None)
+    with pytest.raises(PrecisionExhausted) as exc:
+        isolate_roots(P, target)
+    assert exc.value.enclosures == ()
+
+
+def test_float_seeds_beyond_the_float_range_are_none():
+    assert rootcert.float_roots((-1, 0, -(10**400), 1)) is None  # a coefficient
+    big = -int("7" * 150)
+    # the eigenvalues fit a double, the Newton steps on them do not
+    assert rootcert.float_roots((-1, 0, 1, 0, big, 1)) is not None
+    assert rootcert._float_seeds((-1, 0, 1, 0, big, 1)) is None
+    # P fits a double, P' does not
+    assert rootcert._float_seeds((-1, 0, 1, 0, -int("7" * 308), 1)) is None
+
+
 def test_enclosure_json_shape():
     e = max(isolate_roots(GOLDEN), key=lambda e: e.re)
     data = e.to_json()
