@@ -232,6 +232,8 @@ def _cmd_build(parser: _Parser, args) -> int:
 
 
 def _cmd_verify_torus(parser: _Parser, args) -> int:
+    if args.samples < 1:
+        parser.error("--samples must be positive")
     P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code
@@ -248,7 +250,10 @@ def _cmd_verify_ot(parser: _Parser, args) -> int:
     if args.s < 1 or args.samples < 1:
         parser.error("--s and --samples must be positive")
     step_rel = HESS_STEP_REL if args.step_rel is None else args.step_rel
-    report = verify_ot_report(args.s, samples=args.samples, seed=args.seed, step_rel=step_rel)
+    try:
+        report = verify_ot_report(args.s, samples=args.samples, seed=args.seed, step_rel=step_rel)
+    except ValueError as exc:
+        parser.error(str(exc))
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 

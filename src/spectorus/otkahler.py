@@ -19,18 +19,29 @@ checks (tolerance 1e-6) default to 1e-4 * scale, where truncation O(h^2)
 and rounding noise O(eps/h^2) balance near 1e-7. First-derivative checks
 (tolerance 1e-8) default to 1e-5 * scale, since gradient noise only grows
 like O(eps/h).
+
+Each gradient or hessian lists the distinct points of its stencil once, as an
+(m, s+1) complex array (column 0 is z), and evaluates the potential on whole
+arrays of at most STENCIL_CHUNK points. The values are combined as Python
+floats in the order of the point-by-point formula, so every entry equals, bit
+for bit, what one potential call per stencil point would give.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 GRAD_STEP_REL = 1e-5
 HESS_STEP_REL = 1e-4
+# Most points one call of a potential receives. The s <= 3 hessian (129 points)
+# is one call; ln det h holds an (s, s) matrix per point, so a larger s is
+# split, where s = 64 in one call would allocate about 2 GB.
+STENCIL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -75,85 +86,188 @@ class HermitianMatrixSample:
         return float(np.max(np.abs(self.h - self.h.conj().T)))
 
 
+def _row(point: HyperPoint) -> np.ndarray:
+    """The point as a one-row coordinate array, the input shape of the potentials."""
+    return np.array([point.coords()])
+
+
+def _u(coords: np.ndarray) -> np.ndarray:
+    """u = 1/(y_1...y_s) of every row; the product runs left to right like math.prod."""
+    prod = np.ones(len(coords))
+    for k in range(1, coords.shape[1]):
+        prod = prod * coords[:, k].imag
+    return 1.0 / prod
+
+
+def _F(coords: np.ndarray) -> np.ndarray:
+    # hypot is what abs(complex) computes, where np.abs can differ by an ulp;
+    # the square goes through pow like abs(z) ** 2, because glibc's pow(x, 2)
+    # and x * x differ in the last bit for about one x in a thousand
+    z = coords[:, 0]
+    return np.array([a**2 for a in np.hypot(z.real, z.imag).tolist()]) + _u(coords)
+
+
+def _metric(coords: np.ndarray) -> np.ndarray:
+    """h_jk = (u/4)(1 + delta_jk)/(y_j y_k) of every row, checked positive definite."""
+    ys = coords[:, 1:].imag
+    u = _u(coords)
+    h = ((u / 4)[:, None, None] * (1 + np.eye(ys.shape[1]))) / (ys[:, :, None] * ys[:, None, :])
+    h = h.astype(complex)
+    if np.any(np.min(np.linalg.eigvalsh(h), axis=-1) <= 0):
+        raise ArithmeticError("closed-form metric not positive definite")
+    return h
+
+
+# math.log, not np.log: the two differ in the last bit on some CPUs, and the
+# stencil's 1/h^2 would carry that into the reported deviations
+def _log_det_h(coords: np.ndarray) -> np.ndarray:
+    return np.array([math.log(d) for d in np.linalg.det(_metric(coords)).real.tolist()])
+
+
+def _log_u(coords: np.ndarray) -> np.ndarray:
+    return np.array([math.log(u) for u in _u(coords).tolist()])
+
+
 def u_value(point: HyperPoint) -> float:
-    return 1.0 / math.prod(point.ys)
+    return float(_u(_row(point))[0])
 
 
 def F_value(point: HyperPoint) -> float:
-    return abs(point.z) ** 2 + u_value(point)
+    return float(_F(_row(point))[0])
 
 
 def _coord_scales(point: HyperPoint) -> list[float]:
     return [max(1.0, abs(point.z))] + [w.imag for w in point.zs]
 
 
+def _check_step(step_rel: float) -> None:
+    """Every stencil point stays in C x H^s: y +- step_rel * y > 0."""
+    if not 0 < step_rel < 1:
+        raise ValueError(f"step_rel must be finite with 0 < step_rel < 1, got {step_rel}")
+
+
+def _stencil(n: int, terms_of) -> tuple[np.ndarray, tuple]:
+    """(offsets, terms) of one difference formula on n coordinates.
+
+    terms_of(row) lists, per output entry, the rows its differences combine;
+    row(*moves) numbers each distinct point once, a move being (coordinate,
+    0 real or 1 imaginary, sign). offsets[0] and offsets[1] hold every row's
+    real and imaginary displacement in steps of each coordinate.
+    """
+    index: dict[tuple, int] = {}
+
+    def row(*moves: tuple[int, int, int]) -> int:
+        return index.setdefault(tuple(sorted(moves)), len(index))
+
+    terms = tuple(terms_of(row))
+    offsets = np.zeros((2, len(index), n))
+    for moves, i in index.items():
+        for coord, direction, sign in moves:
+            offsets[direction, i, coord] = sign
+    offsets.flags.writeable = False
+    return offsets, terms
+
+
+@lru_cache(maxsize=16)
+def _gradient_stencil(n: int) -> tuple[np.ndarray, tuple]:
+    """Per coordinate j: the rows at +-h_j and +-i h_j."""
+    return _stencil(
+        n,
+        lambda row: [
+            (row((j, 0, 1)), row((j, 0, -1)), row((j, 1, 1)), row((j, 1, -1)))
+            for j in range(n)
+        ],
+    )
+
+
+@lru_cache(maxsize=16)
+def _hessian_stencil(n: int) -> tuple[np.ndarray, tuple]:
+    """Per entry (j, k): the rows of its xx, xy, yx and yy second differences.
+
+    A second difference along one direction twice is (plus, center, minus);
+    any other is (pp, pm, mp, mm), the first sign being coordinate j's.
+    Entries (j, k) and (k, j) share their points but are combined
+    separately, since the subtraction order and 4 h_j h_k would differ.
+    """
+
+    def terms(row):
+        for j in range(n):
+            for k in range(n):
+                diffs = []
+                for dj, dk in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    if j == k and dj == dk:
+                        diffs.append((row((j, dj, 1)), row(), row((j, dj, -1))))
+                    else:
+                        diffs.append(tuple(
+                            row((j, dj, a), (k, dk, b))
+                            for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                        ))
+                yield j, k, tuple(diffs)
+
+    return _stencil(n, terms)
+
+
+def _evaluate(
+    f: Callable[[np.ndarray], np.ndarray], point: HyperPoint, offsets: np.ndarray, step_rel: float
+) -> tuple[list[float], list[float]]:
+    """Per-coordinate steps, and f at every stencil point in chunks of STENCIL_CHUNK rows."""
+    _check_step(step_rel)
+    hs = [step_rel * scale for scale in _coord_scales(point)]
+    h = np.array(hs)
+    base = np.array(point.coords())
+    # a coordinate moves at most once along each axis, and adding 0.0 changes
+    # no value: these are the bits of the scalar c + h_j*d_j (+ h_k*d_k)
+    pts = np.empty(offsets.shape[1:], dtype=complex)
+    pts.real = base.real + offsets[0] * h
+    pts.imag = base.imag + offsets[1] * h
+    values: list[float] = []
+    for i in range(0, len(pts), STENCIL_CHUNK):
+        values += np.asarray(f(pts[i : i + STENCIL_CHUNK]), dtype=float).tolist()
+    return hs, values
+
+
 def wirtinger_gradient(
-    f: Callable[[HyperPoint], float], point: HyperPoint, step_rel: float = GRAD_STEP_REL
+    f: Callable[[np.ndarray], np.ndarray], point: HyperPoint, step_rel: float = GRAD_STEP_REL
 ) -> np.ndarray:
-    """d f / d z_j = (1/2)(d_x - i d_y) f by central differences, all coords."""
-    n = point.s + 1
-    scales = _coord_scales(point)
-    out = np.zeros(n, dtype=complex)
-    for j in range(n):
-        h = step_rel * scales[j]
-        c = point.coords()[j]
-        fx = (
-            f(point.replace_coord(j, c + h)) - f(point.replace_coord(j, c - h))
-        ) / (2 * h)
-        fy = (
-            f(point.replace_coord(j, c + 1j * h)) - f(point.replace_coord(j, c - 1j * h))
-        ) / (2 * h)
+    """d f / d z_j = (1/2)(d_x - i d_y) f by central differences, all coords.
+
+    f maps an (m, s+1) complex array of points, column 0 being z, to their m
+    real values.
+    """
+    offsets, terms = _gradient_stencil(point.s + 1)
+    hs, v = _evaluate(f, point, offsets, step_rel)
+    out = np.zeros(len(hs), dtype=complex)
+    for j, (xp, xm, yp, ym) in enumerate(terms):
+        h = hs[j]
+        fx = (v[xp] - v[xm]) / (2 * h)
+        fy = (v[yp] - v[ym]) / (2 * h)
         out[j] = (fx - 1j * fy) / 2
     return out
 
 
-def _second_diff(
-    f: Callable[[HyperPoint], float],
-    point: HyperPoint,
-    j: int,
-    dj: complex,
-    k: int,
-    dk: complex,
-    hj: float,
-    hk: float,
-) -> float:
-    """d^2 f along real directions dj (coord j) and dk (coord k)."""
-    if j == k and dj == dk:
-        c = point.coords()[j]
-        return (
-            f(point.replace_coord(j, c + hj * dj))
-            - 2 * f(point)
-            + f(point.replace_coord(j, c - hj * dj))
-        ) / (hj * hj)
-    pp = point.replace_coord(j, point.coords()[j] + hj * dj)
-    pm = point.replace_coord(j, point.coords()[j] + hj * dj)
-    pp = pp.replace_coord(k, pp.coords()[k] + hk * dk)
-    pm = pm.replace_coord(k, pm.coords()[k] - hk * dk)
-    mp = point.replace_coord(j, point.coords()[j] - hj * dj)
-    mm = point.replace_coord(j, point.coords()[j] - hj * dj)
-    mp = mp.replace_coord(k, mp.coords()[k] + hk * dk)
-    mm = mm.replace_coord(k, mm.coords()[k] - hk * dk)
-    return (f(pp) - f(pm) - f(mp) + f(mm)) / (4 * hj * hk)
+def _difference(v: list[float], rows: tuple[int, ...], hj: float, hk: float) -> float:
+    """One second difference from the values of its stencil rows."""
+    if len(rows) == 3:
+        plus, center, minus = rows
+        return (v[plus] - 2 * v[center] + v[minus]) / (hj * hj)
+    pp, pm, mp, mm = rows
+    return (v[pp] - v[pm] - v[mp] + v[mm]) / (4 * hj * hk)
 
 
 def wirtinger_hessian(
-    f: Callable[[HyperPoint], float], point: HyperPoint, step_rel: float = HESS_STEP_REL
+    f: Callable[[np.ndarray], np.ndarray], point: HyperPoint, step_rel: float = HESS_STEP_REL
 ) -> np.ndarray:
     """Mixed complex hessian d_j d_kbar f over all coordinates.
 
     d_j d_kbar = (1/4)(dx_j dx_k + i dx_j dy_k - i dy_j dx_k + dy_j dy_k).
+    f takes an array of points as in wirtinger_gradient.
     """
-    n = point.s + 1
-    scales = _coord_scales(point)
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            hj, hk = step_rel * scales[j], step_rel * scales[k]
-            xx = _second_diff(f, point, j, 1, k, 1, hj, hk)
-            xy = _second_diff(f, point, j, 1, k, 1j, hj, hk)
-            yx = _second_diff(f, point, j, 1j, k, 1, hj, hk)
-            yy = _second_diff(f, point, j, 1j, k, 1j, hj, hk)
-            out[j, k] = (xx + 1j * xy - 1j * yx + yy) / 4
+    offsets, terms = _hessian_stencil(point.s + 1)
+    hs, v = _evaluate(f, point, offsets, step_rel)
+    out = np.zeros((len(hs), len(hs)), dtype=complex)
+    for j, k, diffs in terms:
+        xx, xy, yx, yy = (_difference(v, rows, hs[j], hs[k]) for rows in diffs)
+        out[j, k] = (xx + 1j * xy - 1j * yx + yy) / 4
     return out
 
 
@@ -166,45 +280,40 @@ def first_derivative_closed_form(point: HyperPoint) -> np.ndarray:
     return out
 
 
+def _worst(acc: float, dev: float) -> float:
+    """max(acc, dev), except that a NaN on either side is kept, so its gate fails."""
+    return dev if dev != dev or dev > acc else acc
+
+
 def check_first_derivatives(point: HyperPoint, step_rel: float = GRAD_STEP_REL) -> float:
     """Max deviation of the finite-difference du and dbar-u from closed forms."""
-    grad = wirtinger_gradient(u_value, point, step_rel)
+    grad = wirtinger_gradient(_u, point, step_rel)
     closed = first_derivative_closed_form(point)
     dev = float(np.max(np.abs(grad - closed)))
     # dbar_j u = +u/(z_j - zbar_j); the FD dbar is conj(grad) since u is real
-    dev = max(dev, float(np.max(np.abs(np.conj(grad) - (-closed)))))
-    return dev
+    return _worst(dev, float(np.max(np.abs(np.conj(grad) - (-closed)))))
 
 
 def metric_closed_form(point: HyperPoint) -> HermitianMatrixSample:
     """h_jk = (u/4)(1 + delta_jk)/(y_j y_k) on the half-plane block."""
-    s = point.s
-    u = u_value(point)
-    ys = point.ys
-    h = np.empty((s, s), dtype=complex)
-    for j in range(s):
-        for k in range(s):
-            h[j, k] = (u / 4) * (1 + (j == k)) / (ys[j] * ys[k])
-    sample = HermitianMatrixSample(point, h, "ClosedForm")
-    if np.min(np.linalg.eigvalsh(h)) <= 0:
-        raise ArithmeticError("closed-form metric not positive definite")
-    return sample
+    return HermitianMatrixSample(point, _metric(_row(point))[0], "ClosedForm")
 
 
 def check_metric(point: HyperPoint, step_rel: float = HESS_STEP_REL) -> float:
     """Max deviation of the u-hessian from the closed-form metric block."""
-    hess = wirtinger_hessian(u_value, point, step_rel)
+    hess = wirtinger_hessian(_u, point, step_rel)
     closed = metric_closed_form(point).h
     return float(np.max(np.abs(hess[1:, 1:] - closed)))
 
 
 def check_flat_factor(point: HyperPoint, step_rel: float = HESS_STEP_REL) -> float:
     """Product structure of F: flat entry exactly 1, mixed entries 0."""
-    hess = wirtinger_hessian(F_value, point, step_rel)
-    dev = abs(hess[0, 0] - 1)
+    hess = wirtinger_hessian(_F, point, step_rel)
+    dev = float(abs(hess[0, 0] - 1))
     if point.s:
-        dev = max(dev, float(np.max(np.abs(hess[0, 1:]))), float(np.max(np.abs(hess[1:, 0]))))
-    return float(dev)
+        mixed = np.concatenate([hess[0, 1:], hess[1:, 0]])
+        dev = _worst(dev, float(np.max(np.abs(mixed))))
+    return dev
 
 
 def determinant_closed_form(point: HyperPoint) -> float:
@@ -284,11 +393,7 @@ def ricci_closed_form(point: HyperPoint) -> np.ndarray:
 
 def check_ricci(point: HyperPoint, step_rel: float = HESS_STEP_REL) -> tuple[float, bool]:
     """(max deviation of -dd-bar ln det h from the closed form, negative definite?)."""
-
-    def log_det(p: HyperPoint) -> float:
-        return math.log(np.linalg.det(metric_closed_form(p).h).real)
-
-    fd = -wirtinger_hessian(log_det, point, step_rel)[1:, 1:]
+    fd = -wirtinger_hessian(_log_det_h, point, step_rel)[1:, 1:]
     closed = ricci_closed_form(point)
     dev = float(np.max(np.abs(fd - closed)))
     neg_def = bool(np.max(np.linalg.eigvalsh((closed + closed.conj().T) / 2)) < 0)
@@ -297,11 +402,7 @@ def check_ricci(point: HyperPoint, step_rel: float = HESS_STEP_REL) -> tuple[flo
 
 def check_ricci_u_route(point: HyperPoint, step_rel: float = HESS_STEP_REL) -> float:
     """Consistency: R must also equal -(s+2) * dd-bar ln u."""
-
-    def log_u(p: HyperPoint) -> float:
-        return math.log(u_value(p))
-
-    fd = -(point.s + 2) * wirtinger_hessian(log_u, point, step_rel)[1:, 1:]
+    fd = -(point.s + 2) * wirtinger_hessian(_log_u, point, step_rel)[1:, 1:]
     return float(np.max(np.abs(fd - ricci_closed_form(point))))
 
 
@@ -329,22 +430,23 @@ def verify_ot_report(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    _check_step(step_rel)
     rng = np.random.default_rng(seed)
     dev_eq1 = dev_eq2 = dev_det = dev_ricci = dev_flat = dev_uroute = 0.0
     dev_herm = 0.0
     h_pos = r_neg = True
     for _ in range(samples):
         p = _random_point(rng, s, 0.7, 2.0)
-        dev_eq1 = max(dev_eq1, check_first_derivatives(p))
-        dev_eq2 = max(dev_eq2, check_metric(p, step_rel))
-        dev_det = max(dev_det, check_determinant(p))
+        dev_eq1 = _worst(dev_eq1, check_first_derivatives(p))
+        dev_eq2 = _worst(dev_eq2, check_metric(p, step_rel))
+        dev_det = _worst(dev_det, check_determinant(p))
         rdev, rneg = check_ricci(p, step_rel)
-        dev_ricci = max(dev_ricci, rdev)
+        dev_ricci = _worst(dev_ricci, rdev)
         r_neg &= rneg
-        dev_uroute = max(dev_uroute, check_ricci_u_route(p, step_rel))
-        dev_flat = max(dev_flat, check_flat_factor(p, step_rel))
+        dev_uroute = _worst(dev_uroute, check_ricci_u_route(p, step_rel))
+        dev_flat = _worst(dev_flat, check_flat_factor(p, step_rel))
         sample = metric_closed_form(p)
-        dev_herm = max(dev_herm, sample.hermitian_deviation())
+        dev_herm = _worst(dev_herm, sample.hermitian_deviation())
         h_pos &= bool(np.min(np.linalg.eigvalsh(sample.h)) > 0)
     # wide-domain definiteness on the closed forms only (no differencing)
     for _ in range(samples):

@@ -321,6 +321,14 @@ def test_verify_torus_passes_all_gates(capsys):
     assert payload["deck_samples"] == 5
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_torus_refuses_no_samples(samples, capsys):
+    code, out, err = run_cli(["verify-torus", "x^2 - 3x + 1", "--samples", samples], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus verify-torus ")
+    assert "--samples must be positive" in err
+
+
 def test_verify_torus_classifies_once(capsys, monkeypatch):
     calls = []
 
@@ -352,6 +360,15 @@ def test_verify_ot_passes_all_gates(capsys):
     jsonschema.validate(payload, load_schema("ot_report.schema.json"))
     assert all(payload["passes"].values())
     assert payload["s"] == 1
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-4", "1", "1e300", "inf", "nan"])
+def test_verify_ot_refuses_steps_outside_the_half_plane(step, capsys):
+    argv = ["verify-ot", "--s", "1", "--samples", "2", "--step-rel", step]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus verify-ot ")
+    assert "0 < step_rel < 1" in err and "Traceback" not in err
 
 
 def test_verify_ot_seed_determinism(capsys):
