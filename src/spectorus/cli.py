@@ -211,13 +211,22 @@ def _classify_accepted(parser: _Parser, args):
     return P, prof, code
 
 
+def _geometry_failed(parser: _Parser, exc: Exception) -> int:
+    # nothing was verified or refuted: exit 1 would claim a failed gate
+    sys.stderr.write(f"{parser.prog}: undecided: the float geometry failed: {exc}\n")
+    return EXIT_UNDECIDED
+
+
 def _cmd_build(parser: _Parser, args) -> int:
     P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code
     from .geomlab import build_model
 
-    model = build_model(P, prof)
+    try:
+        model = build_model(P, prof)
+    except (ArithmeticError, ValueError) as exc:
+        return _geometry_failed(parser, exc)
     payload = {
         "certificate": model.cert.to_json(),
         "model": {
@@ -239,7 +248,10 @@ def _cmd_verify_torus(parser: _Parser, args) -> int:
         return code
     from .geomlab import verify_torus_report
 
-    report = verify_torus_report(P, samples=args.samples, seed=args.seed, profile=prof)
+    try:
+        report = verify_torus_report(P, samples=args.samples, seed=args.seed, profile=prof)
+    except (ArithmeticError, ValueError) as exc:
+        return _geometry_failed(parser, exc)
     _emit(_dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 

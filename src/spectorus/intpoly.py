@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, isqrt, prod
 from operator import index
 
 
@@ -370,6 +370,10 @@ def _divides_exactly(P: IntPolynomial, G: IntPolynomial) -> IntPolynomial | None
     return IntPolynomial(tuple(out))
 
 
+# most candidate divisors factor_oracle enumerates for one degree (a few seconds)
+FACTOR_CANDIDATE_BUDGET = 10**6
+
+
 def _factor_order(f: IntPolynomial) -> tuple:
     return f.degree, f.coeffs
 
@@ -380,6 +384,7 @@ def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
     Searches monic divisors of degree <= deg/2 with coefficients inside the
     Mignotte bound, pruning by g(0) | P(0), g(1) | P(1) and g(-1) | P(-1).
     Returns the list of irreducible monic factors, [P] when irreducible.
+    Refuses with ValueError a degree of more than FACTOR_CANDIDATE_BUDGET candidates.
     """
     if not P.is_monic:
         raise ValueError("factor_oracle requires a monic polynomial")
@@ -398,6 +403,9 @@ def factor_oracle(P: IntPolynomial, max_degree: int = 8) -> list[IntPolynomial]:
 
     def search_divisor(d: int) -> IntPolynomial | None:
         bounds = [comb(d, i) * norm for i in range(1, d)]
+        candidates = len(const_divs) * prod(2 * b + 1 for b in bounds)
+        if candidates > FACTOR_CANDIDATE_BUDGET:
+            raise ValueError(f"{candidates} candidate divisors of degree {d} exceed the budget")
 
         def rec(idx: int, partial: list[int]) -> IntPolynomial | None:
             if idx == d:

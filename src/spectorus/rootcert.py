@@ -295,13 +295,12 @@ def _finite(zs) -> bool:
     return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
 
 
-def float_roots(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Hardware roots of monic P: eigenvalues of its companion matrix.
-
-    None when a coefficient or a root lies beyond the float range.
-    """
-    try:
+def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Eigenvalues of the companion matrix of monic P after two Newton steps;
+    None when a coefficient, a root or a step leaves the float range."""
+    try:  # a coefficient, or P' alone, can leave the float range
         column = [-float(c) for c in coeffs[:-1]]
+        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
     except OverflowError:
         return None
     np = _lazy("np")
@@ -310,17 +309,7 @@ def float_roots(coeffs: tuple[int, ...]) -> list[complex] | None:
     companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
     companion[:, -1] = column
     roots = np.linalg.eigvals(companion).tolist()
-    return roots if _finite(roots) else None
-
-
-def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Float roots after two Newton steps; None when they leave the float range."""
-    roots = float_roots(coeffs)
-    if roots is None:
-        return None
-    try:  # P' can leave the float range where P does not
-        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
-    except OverflowError:
+    if not _finite(roots):
         return None
 
     def horner(cs, x):

@@ -3,9 +3,10 @@
 A polynomial of degree q+1 is accepted when it is the characteristic
 polynomial of an integer matrix with determinant one, a single expanding real
 eigenvalue lambda**q > 1, and q remaining eigenvalues all of modulus
-1/lambda. Degrees 2 and 3 are decided by exact integer tests; higher degrees
-end in a rejection that is a proof (exact sign screens, Descartes or Sturm
-counts, a Schur-Cohn disk count, or modulus-interval separation) or undecided.
+1/lambda. Degrees 2 and 3 are decided by exact integer tests (or root
+isolation on request); higher degrees end in an integer proof of rejection
+(sign screens, Descartes or Sturm counts, a Schur-Cohn disk count at a
+searched dyadic radius) or undecided at the precision ceiling.
 
 The replay operations re-execute the two halves of the supporting argument
 (power-transform coincidence for even q, reversal coincidence for odd q) as
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, ldexp, prod
+from math import prod
 
 from .exactnum import (
     bisect_root_dyadic,
@@ -34,7 +35,6 @@ from .rootcert import (
     RootEnclosure,
     chain_is_squarefree,
     disk_root_count,
-    float_roots,
     isolate_roots,
     squarefree_by_small_primes,
     sturm_chain,
@@ -58,7 +58,6 @@ ROOT_BELOW_MINUS_ONE = "root_below_minus_one"
 REAL_ROOT_LAYOUT = "real_root_layout"
 MODULUS_SEPARATION = "modulus_separation"
 PRECISION_CEILING = "precision_ceiling"
-EQUAL_MODULI_UNPROVEN = "equal_moduli_unproven"
 
 
 class CannotCertify(ValueError):
@@ -243,57 +242,52 @@ def _sturm_counts(chain) -> tuple[int, int, int]:
     return above, below, v_minf - v_inf
 
 
-def _disk_radius(P: IntPolynomial, q: int) -> tuple[int, int] | None:
-    """(u, v): the dyadic u/v of least denominator strictly between the
-    smallest small-root modulus and 1/lambda, from float roots; None when
-    they do not order so or leave the float range. The floats only choose;
-    _disk_separation proves."""
-    roots = float_roots(P.coeffs)
-    if roots is None:
-        return None
-    big = min(
-        (i for i, z in enumerate(roots) if z.real > 1),
-        key=lambda i: abs(roots[i].imag),
-        default=None,
-    )
-    if big is None:
-        return None
-    target = roots[big].real ** (-1 / q)
-    low = min(abs(z) for i, z in enumerate(roots) if i != big)
-    # at the least such k one integer lies in between; floats order moduli
-    # closer than about 2**-52 by noise alone
-    for k in range(1, 53):
-        u = floor(ldexp(low, k)) + 1
-        if u < ldexp(target, k):
-            return u, 1 << k
-    return None
+def _disk_search(P: IntPolynomial, q: int, max_precision_bits: int) -> SpectralProfile:
+    """Modulus separation by bisection for a dyadic rho = u/2**k in (0, 1).
 
-
-def _disk_separation(P: IntPolynomial, q: int, u: int, v: int) -> str | None:
-    """Proof that a small root has modulus below 1/lambda, from rho = u/v.
-
-    Needs P(1) < 0 and lambda**q the only real root above 1, as the sign
-    screens and real-root counts prove. Then P(rho**-q) > 0 proves
-    rho**-q > lambda**q, that is rho < 1/lambda, and a root in |z| < rho
-    lies below 1/lambda. The product of the q small moduli is lambda**-q,
-    so not all of them can equal 1/lambda. None when a check fails.
+    Needs P(1) < 0 and lambda**q the only real root above 1, as the screens
+    and real-root counts prove: then P(rho**-q) > 0 exactly when rho < 1/lambda.
+    The q small moduli multiply to lambda**-q, so unless all equal 1/lambda
+    one lies below it. A probe goes down when P(rho**-q) <= 0, up when the
+    Schur-Cohn count finds no root in |z| < rho or gives no verdict (the
+    bracket above still meets the target), and rejects otherwise. Past
+    k = max_precision_bits the verdict is Undecided / precision_ceiling.
     """
-    if not 0 < u < v:
-        return None  # P(x) > 0 places x above lambda**q only for x > 1
-    if sign_at(P.coeffs, Fraction(v**q, u**q)) <= 0:
-        return None
-    count = disk_root_count(P.coeffs, u, v)
-    if not count:
-        return None
-    return f"{count} root{'s' * (count > 1)} in |z| < {u}/{v} < 1/lambda"
+    coeffs = P.coeffs
+
+    def below(u: int, k: int) -> bool:  # u/2**k < 1/lambda
+        return sign_at(coeffs, Fraction(1 << (k * q), u**q)) > 0
+
+    # the descent to the first 2**-j below 1/lambda, by binary search on j;
+    # every root has modulus above 1/(1 + max|c_i|): the reversed Cauchy bound
+    lo = 0
+    hi = min((1 + max(map(abs, coeffs))).bit_length() + 1, max_precision_bits + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(1, mid):
+            hi = mid
+        else:
+            lo = mid
+    u, k = 1, hi
+    while k <= max_precision_bits:
+        if below(u, k):
+            count = disk_root_count(coeffs, u, 1 << k)
+            if count:
+                detail = f"{count} root{'s' * (count > 1)} in |z| < {u}/{1 << k} < 1/lambda"
+                return _rejected(P, q, MODULUS_SEPARATION, detail)
+            u += 1  # up: the bracket above rho
+        u, k = 2 * u - 1, k + 1  # the midpoint of [(u - 1)/2**k, u/2**k]
+    return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
 
 
 def _interval_classify(
     P: IntPolynomial, real_count: int | None, max_precision_bits: int
 ) -> SpectralProfile:
-    """The isolation route: certified enclosures of every root, then
-    separation or containment of the moduli against 1/lambda."""
+    """The isolation route for degrees 2 and 3: certified enclosures of every
+    root, then separation or containment of the moduli against 1/lambda."""
     q = P.degree - 1
+    if q >= 3:  # containment proves equal moduli only through Vieta, for q <= 2
+        raise ValueError("the isolation route decides degrees 2 and 3 only")
     # one ladder to the caller's ceiling: a straddle squares the target and
     # doubles the refinement bits. PrecisionExhausted ends it, as the radii all
     # reach 0 only if each root is a Gaussian-integer unit, and one exceeds 1
@@ -331,9 +325,6 @@ def _interval_classify(
         # Vieta consistency: the enclosure product must allow |product| = 1
         if not b_lo * prod(m_los) <= 1 <= b_hi * prod(m_his):
             continue
-        if q >= 3:
-            # enclosures cannot prove equal moduli; for q <= 2 Vieta does
-            return SpectralProfile(P, q, UNDECIDED, reason=EQUAL_MODULI_UNPROVEN)
         lam = (
             nth_root_bounds(b_lo, q, refine_bits)[0],
             nth_root_bounds(b_hi, q, refine_bits)[1],
@@ -390,9 +381,9 @@ def classify(
         if n == 3 and c0 == -1:
             return exact_test_q2(P, max_precision_bits)
     # stage order: sign screens, squarefree proof, real-root counts (Descartes,
-    # else Sturm), disk count, isolation. not_squarefree outranks a screen
-    # verdict, so a screen rejection stands only once a small prime or the
-    # Sturm chain proves P squarefree
+    # else Sturm), disk search (degree >= 4) or isolation. not_squarefree outranks
+    # a screen verdict, so a screen rejection stands only once a small prime or
+    # the Sturm chain proves P squarefree
     screen = _sign_screen(P)
     squarefree = squarefree_by_small_primes(P.coeffs)
     if screen is not None and squarefree:
@@ -415,11 +406,8 @@ def classify(
             return _rejected(P, q, EXPANDING_ROOT_COUNT, f"{above} real roots above 1")
         if below != 0:
             return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
-    if q >= 3:  # degrees 2 and 3 keep the isolation route's details
-        rho = _disk_radius(P, q)
-        detail = rho and _disk_separation(P, q, *rho)
-        if detail:
-            return _rejected(P, q, MODULUS_SEPARATION, detail)
+    if q >= 3:
+        return _disk_search(P, q, max_precision_bits)
     return _interval_classify(P, real_count, max_precision_bits)
 
 

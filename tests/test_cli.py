@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import spectorus.cli as cli
 import spectorus.geomlab as geomlab
 import spectorus.searchkit as searchkit
-import spectorus.spectra as spectra
 from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
 from spectorus.rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
@@ -79,24 +80,24 @@ def test_certify_undecided_exits_two(capsys, monkeypatch):
     assert payload["certification"] == "Undecided"
 
 
-def test_certify_genuine_undecided_at_float_rung_ceiling(capsys, monkeypatch):
-    # the float rung cannot certify these roots; the default ceiling can.
-    # The exact disk count decides at any ceiling
-    poly = "x^4 - 781790x^3 - 280801x^2 - 595706x + 1"
-    argv = ["certify", poly, "--max-precision-bits", "53"]
-    code, out, _ = run_cli(argv, capsys)
+def test_certify_genuine_undecided_at_float_rung_ceiling(capsys):
+    # the exact disk search decides at any ceiling
+    argv = ["certify", "x^4 - 781790x^3 - 280801x^2 - 595706x + 1"]
+    code, out, _ = run_cli([*argv, "--max-precision-bits", "53"], capsys)
     assert code == 1
     assert json.loads(out)["reason"] == "modulus_separation"
-    monkeypatch.setattr(spectra, "_disk_radius", lambda P, q: None)
-    code, out, _ = run_cli(argv, capsys)
+    # the float rung cannot isolate the accepted cubic's pair to 1e-24; the
+    # default ceiling can
+    argv = ["certify", "x^3 - 2x^2 - 1"]
+    code, out, _ = run_cli([*argv, "--max-precision-bits", "53"], capsys)
     assert code == 2
     payload = json.loads(out)
     jsonschema.validate(payload, load_schema("profile.schema.json"))
     assert payload["certification"] == "Undecided"
     assert payload["reason"] == "precision_ceiling"
-    code, out, _ = run_cli(["certify", poly], capsys)
-    assert code == 1
-    assert json.loads(out)["reason"] == "modulus_separation"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["certification"] == "ExactQ2"
 
 
 @pytest.mark.parametrize("command", ["certify", "replay", "build", "factor"])
@@ -349,6 +350,29 @@ def test_verify_torus_rejected_polynomial_exits_one(capsys):
     assert json.loads(out)["error"] == "rejected"
 
 
+def _exact_companion(P):
+    A = np.zeros((P.degree, P.degree), dtype=object)
+    A[1:, :-1] = np.eye(P.degree - 1, dtype=int)
+    A[:, -1] = [-c for c in P.coeffs[:-1]]
+    return A
+
+
+@pytest.mark.parametrize("verb", ["build", "verify-torus"])
+@pytest.mark.parametrize("zeros", [20, 40])
+@pytest.mark.parametrize("exact", [False, True], ids=["int64-companion", "exact-companion"])
+def test_geometry_beyond_float_reach_exits_undecided(verb, zeros, exact, capsys, monkeypatch):
+    # certify accepts X^2 - (10**zeros)X + 1; the float geometry cannot hold it:
+    # the int64 companion overflows, and an exact one leaves solve_b without
+    # eigenvalues on the unit circle
+    if exact:
+        monkeypatch.setattr(geomlab, "companion", _exact_companion)
+    code, out, err = run_cli([verb, f"x^2 - 1{'0' * zeros}x + 1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"spectorus {verb}: undecided: ")
+    assert ("C long" in err) != exact and ("solve_b" in err) == exact
+
+
 # ---------------------------------------------------------------- verify-ot
 
 def test_verify_ot_passes_all_gates(capsys):
@@ -393,6 +417,14 @@ def test_factor_lists_x_in_the_order_of_the_other_factors(capsys):
     code, out, _ = run_cli(["factor", "x^5 - 2x^3 - 8x"], capsys)
     assert code == 0
     assert json.loads(out)["rendered"] == ["x - 2", "x", "x + 2", "x^2 + 2"]
+
+
+def test_factor_beyond_the_work_budget_exits_three(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["factor", "x^8 - 1000x^7 + 3x^4 - x + 1"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "candidate divisors of degree 3 exceed" in err
 
 
 def test_factor_irreducible(capsys):
@@ -471,7 +503,7 @@ BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
     [
         (["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"], {"ExactQ2", "Undecided"}),
         (["certify", f"x^5 - {BEYOND_FLOATS}x^4 + x^2 - 1"], {"Rejected", "Undecided"}),
-        (["certify", f"x^4 - {BEYOND_FLOATS}x^3 + x^2 - 1", "--gl"], {"Rejected", "Undecided"}),
+        (["certify", f"x^4 - {BEYOND_FLOATS}x^3 + x^2 - 1", "--gl"], {"Rejected"}),
         # coefficients that fit a double but float roots that do not
         (["certify", f"x^5 - {'7' * 150}x^4 + x^2 - 1", "--max-precision-bits", "53"],
          {"Rejected", "Undecided"}),
@@ -479,7 +511,8 @@ BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
     ids=["q2-accepted", "degree-5", "gl-quartic", "float-roots-overflow"],
 )
 def test_certify_beyond_the_float_range_ends_in_a_verdict(argv, verdicts, capsys):
-    # without float seeds the isolation starts from mpmath.polyroots
+    # the cubic's isolation starts from mpmath.polyroots without float
+    # seeds; degree >= 4 needs no float roots
     code, out, err = run_cli(argv, capsys)
     assert err == ""
     payload = json.loads(out)

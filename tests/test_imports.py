@@ -65,6 +65,7 @@ def _cold_cli(*argv: str) -> dict:
         ("x^3 - x^2 + x - 1", 1),  # exact q = 2 rejection: root at 1
         ("x^4 - 2x^3 + x - 1", 1),  # wrong constant term
         ("x^5 - x^4 + 2x - 1", 1),  # P(1) sign screen
+        ("x^5 - x^4 - 1", 1),  # disk search: modulus_separation
     ],
 )
 def test_cold_certify_loads_no_heavy_module(poly, code):

@@ -3,11 +3,14 @@
 import dataclasses
 import itertools
 import json
+import random
 import re
 from fractions import Fraction
+from math import floor, ldexp
 from pathlib import Path
 
-import jsonschema
+import mpmath
+import numpy as np
 import pytest
 
 import spectorus.spectra as spectra
@@ -29,7 +32,6 @@ from spectorus.spectra import (
     REAL_ROOT_LAYOUT,
     BOUNDARY_ROOT,
     CannotCertify,
-    EQUAL_MODULI_UNPROVEN,
     EXACT_Q1,
     EXACT_Q2,
     EXPANDING_ROOT_COUNT,
@@ -215,35 +217,28 @@ def test_classify_degree5_modulus_separation():
         assert profile.reason == MODULUS_SEPARATION, text
 
 
-# the float rung cannot certify its roots; the next rung separates them
+# the float rung cannot certify their roots; the next rung can
 FLOAT_RUNG_MISS = parse_poly("x^4 - 781790x^3 - 280801x^2 - 595706x + 1")
+GL_FLOAT_RUNG_MISS = parse_poly("x^2 - 3974751x - 1")
 
 
-def _no_disk_stage(monkeypatch):
-    """Make the disk count give no verdict, so the isolation route decides."""
-    monkeypatch.setattr(spectra, "_disk_radius", lambda P, q: None)
-
-
-def test_classify_undecided_at_float_rung_ceiling(monkeypatch):
-    # the disk count needs no precision ladder: it decides at any ceiling
+def test_classify_undecided_at_float_rung_ceiling():
+    # the disk search needs no precision ladder: it decides at any ceiling
     profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
     assert profile.certification == REJECTED
     assert profile.reason == MODULUS_SEPARATION
-    _no_disk_stage(monkeypatch)
-    profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
+    # the isolation route of a gl quadratic does not reach radius 1e-10 there
+    profile = classify(GL_FLOAT_RUNG_MISS, allow_gl=True, max_precision_bits=53)
     assert profile.certification == UNDECIDED
     assert profile.reason == PRECISION_CEILING
     assert not profile.accepted
-    profile = classify(FLOAT_RUNG_MISS)
-    assert profile.certification == REJECTED
-    assert profile.reason == MODULUS_SEPARATION
+    profile = classify(GL_FLOAT_RUNG_MISS, allow_gl=True)
+    assert profile.certification == INTERVAL_CERTIFIED
 
 
 def _record_isolation(monkeypatch):
-    """Stub out the disk count and separation; log (target, raised) per
-    isolate_roots call and ("bisect", bits) per refinement of the
-    expanding root."""
-    _no_disk_stage(monkeypatch)
+    """Stub out the separation; log (target, raised) per isolate_roots call
+    and ("bisect", bits) per refinement of the expanding root."""
     calls = []
 
     def recording(P, target, **kw):
@@ -267,10 +262,11 @@ def _record_isolation(monkeypatch):
 
 @pytest.mark.parametrize("ceiling, passes", [(1024, 6), (240, 4)])
 def test_straddle_escalates_until_the_ceiling(monkeypatch, ceiling, passes):
-    # (x^2 - x + 1)(x^3 - x - 1): no small modulus equals the target, so
-    # without separation every pass straddles
+    # a gl cubic with three real roots: no small modulus equals the target,
+    # so without separation every pass straddles
     calls = _record_isolation(monkeypatch)
-    profile = classify(parse_poly("x^5 - x^4 - 1"), max_precision_bits=ceiling)
+    P = parse_poly("x^3 - 3x^2 - x + 1")
+    profile = classify(P, allow_gl=True, max_precision_bits=ceiling)
     assert profile.certification == UNDECIDED
     assert profile.reason == PRECISION_CEILING
     # each straddle squares the target and doubles the refinement bits
@@ -485,10 +481,59 @@ def test_screen_first_matches_chain_first_on_built_products(force_interval):
 
 # ------------------------------------------- Descartes and disk-count stages
 
+def _float_disk_radius(P, q):
+    """The float chooser the disk search replaced: (u, v), the dyadic u/v of
+    least denominator strictly between the smallest small-root modulus and
+    1/lambda, from float roots; None when they do not order so or leave the
+    float range."""
+    n = P.degree
+    companion = np.zeros((n, n))
+    companion[1:, :-1] = np.eye(n - 1)
+    try:
+        companion[:, -1] = [-float(c) for c in P.coeffs[:-1]]
+    except OverflowError:
+        return None
+    roots = np.linalg.eigvals(companion).tolist()
+    if not all(np.isfinite(roots)):
+        return None
+    big = min(
+        (i for i, z in enumerate(roots) if z.real > 1),
+        key=lambda i: abs(roots[i].imag),
+        default=None,
+    )
+    if big is None:
+        return None
+    target = roots[big].real ** (-1 / q)
+    low = min(abs(z) for i, z in enumerate(roots) if i != big)
+    # at the least such k one integer lies in between; floats order moduli
+    # closer than about 2**-52 by noise alone
+    for k in range(1, 53):
+        u = floor(ldexp(low, k)) + 1
+        if u < ldexp(target, k):
+            return u, 1 << k
+    return None
+
+
+def _moduli_oracle(P, q):
+    """(smallest small-root modulus, 1/lambda) from mpmath roots at the working
+    precision, independent of the integer checks."""
+    roots = mpmath.polyroots(P.coeffs[::-1], maxsteps=200, extraprec=mpmath.mp.prec)
+    big = min((z for z in roots if mpmath.re(z) > 1), key=lambda z: abs(mpmath.im(z)))
+    low = min(abs(z) for z in roots if z is not big)
+    return low, mpmath.re(big) ** (mpmath.mpf(-1) / q)
+
+
+def _assert_separates(P, q, u, v):
+    with mpmath.workdps(30):
+        low, inverse_lambda = _moduli_oracle(P, q)
+        assert low < mpmath.mpf(u) / v < inverse_lambda, P.render()
+
+
 def _assert_stages_match_isolation(polys):
-    """Where Descartes settles the counts, Sturm gives the same; where the
-    disk count rejects, the isolation route rejects for the same reason.
-    Returns how many inputs reached the disk count."""
+    """Where Descartes settles the counts, Sturm gives the same. Where the
+    disk search decides, its rho and detail are those of the float chooser,
+    and independent roots place rho below 1/lambda and above a small root.
+    Returns how many inputs reached the disk search."""
     reached = 0
     for P in polys:
         q = P.degree - 1
@@ -497,18 +542,19 @@ def _assert_stages_match_isolation(polys):
         chain = sturm_chain(P.coeffs)
         if not chain_is_squarefree(chain):
             continue
-        above, below, real_count = spectra._sturm_counts(chain)
+        above, below, _ = spectra._sturm_counts(chain)
         negated = [-c if j % 2 else c for j, c in enumerate(P.coeffs)]
         if variations_above_one(P.coeffs) == 1 and variations_above_one(negated) == 0:
             assert (above, below) == (1, 0), P.render()
         if (above, below) != (1, 0) or q < 3:
             continue
         reached += 1
-        rho = spectra._disk_radius(P, q)
-        detail = rho and spectra._disk_separation(P, q, *rho)
-        assert detail, P.render()  # every such input here is decided
-        want = spectra._interval_classify(P, real_count, DEFAULT_PRECISION_CEILING)
-        assert (want.certification, want.reason) == (REJECTED, MODULUS_SEPARATION)
+        got = classify(P, allow_gl=True)
+        assert (got.certification, got.reason) == (REJECTED, MODULUS_SEPARATION)
+        u, v = _float_disk_radius(P, q)
+        count = disk_root_count(P.coeffs, u, v)
+        assert got.detail == f"{count} root{'s' * (count > 1)} in |z| < {u}/{v} < 1/lambda"
+        _assert_separates(P, q, u, v)
     return reached
 
 
@@ -523,6 +569,17 @@ def test_descartes_and_disk_stages_match_isolation_on_built_products():
     assert _assert_stages_match_isolation(_built_products()) > 0
 
 
+def test_disk_search_matches_the_float_chooser_on_large_coefficients():
+    # coefficients up to 1e9: 1/lambda reaches 2**-j with j up to about 30
+    rng = random.Random(4096)
+    polys = []
+    for _ in range(600):
+        degree, size = rng.randint(4, 7), 10 ** rng.randint(1, 9)
+        rest = (rng.randint(-size, size) for _ in range(degree - 1))
+        polys.append(IntPolynomial((rng.choice((-1, 1)), *rest, 1)))
+    assert _assert_stages_match_isolation(polys) > 100
+
+
 def test_descartes_bound_of_three_falls_back_to_sturm():
     # V(P(X + 1)) = 3 allows one or three roots above 1; Sturm tells them apart
     P = parse_poly("x^4 - 12x^3 + 28x^2 - 19x + 1")
@@ -533,44 +590,87 @@ def test_descartes_bound_of_three_falls_back_to_sturm():
     assert classify(Q).reason == MODULUS_SEPARATION
 
 
-def test_disk_separation_needs_rho_below_one():
-    # X^3 - 6X^2 + 5X - 1 is positive at (7/5)^-2 and has two roots in
-    # |z| < 7/5, but P(x) > 0 locates x above the expanding root only for x > 1
+def _record_disk_probes(monkeypatch):
+    """Log (coeffs, u, v) for every Schur-Cohn count the disk search makes."""
+    probes = []
+
+    def recording(coeffs, u, v):
+        probes.append((coeffs, u, v))
+        return disk_root_count(coeffs, u, v)
+
+    monkeypatch.setattr(spectra, "disk_root_count", recording)
+    return probes
+
+
+def test_disk_separation_needs_rho_below_one(monkeypatch):
+    # X^3 - 6X^2 + 5X - 1 has two roots in |z| < 7/5, but P(x) > 0 locates x
+    # above the expanding root only for x > 1: the search counts in (0, 1) only
+    probes = _record_disk_probes(monkeypatch)
     P = parse_poly("x^3 - 6x^2 + 5x - 1")
     assert disk_root_count(P.coeffs, 7, 5) == 2
-    assert spectra._disk_separation(P, 2, 7, 5) is None
+    assert spectra._disk_search(P, 2, 240).detail == "1 root in |z| < 3/8 < 1/lambda"
+    for Q in _box(5, 2, (-1,)):
+        classify(Q)
+    assert len(probes) > 100
+    assert all(0 < u < v for _, u, v in probes)
 
 
-def test_disk_separation_needs_rho_below_inverse_lambda():
+def test_disk_separation_needs_rho_below_inverse_lambda(monkeypatch):
     # the plastic pair has modulus 1/lambda = 0.8688: |z| < 7/8 holds both
-    # roots, yet none lies below 1/lambda; P((7/8)^-2) < 0 says rho > 1/lambda
+    # roots, yet none lies below 1/lambda. The search never counts above
+    # 1/lambda, so with moduli all equal to it, it ends at the ceiling
     assert disk_root_count(PLASTIC.coeffs, 7, 8) == 2
-    assert spectra._disk_separation(PLASTIC, 2, 7, 8) is None
-    assert spectra._disk_separation(PLASTIC, 2, 13, 16) is None  # none inside
+    probes = _record_disk_probes(monkeypatch)
+    profile = spectra._disk_search(PLASTIC, 2, 240)
+    assert (profile.certification, profile.reason) == (UNDECIDED, PRECISION_CEILING)
+    with mpmath.workdps(100):
+        _, inverse_lambda = _moduli_oracle(PLASTIC, 2)
+        assert probes and all(mpmath.mpf(u) / v < inverse_lambda for _, u, v in probes)
     # (x^2 - x + 1)(x^3 - x - 1): the plastic pair lies below 1/lambda = 0.9322
     P = parse_poly("x^5 - x^4 - 1")
-    assert spectra._disk_radius(P, 4) == (7, 8)
-    assert spectra._disk_separation(P, 4, 7, 8) == "2 roots in |z| < 7/8 < 1/lambda"
+    assert _float_disk_radius(P, 4) == (7, 8)
     assert classify(P).detail == "2 roots in |z| < 7/8 < 1/lambda"
+    _assert_separates(P, 4, 7, 8)
 
 
-def test_interval_route_certifies_no_layout_above_q_two(monkeypatch):
-    # widened small-root enclosures contain 1/lambda, as equal moduli would:
-    # Vieta proves q <= 2, but containment proves nothing for q >= 3
-    def widened(P, target, **kw):
-        return tuple(
-            e if e.is_real_certified and e.real_interval()[0] > 1
-            else dataclasses.replace(e, radius=Fraction(2))
-            for e in isolate_roots(P, target, **kw)
-        )
+def test_disk_search_moves_up_past_a_count_without_verdict(monkeypatch):
+    # a zero gamma at rho = 7/8, which lies below 1/lambda = 0.9322: the
+    # bracket [7/8, 1] still meets the target interval, and 29/32 is in it
+    def no_verdict_at_seven_eighths(coeffs, u, v):
+        return None if (u, v) == (7, 8) else disk_root_count(coeffs, u, v)
 
-    _no_disk_stage(monkeypatch)
-    monkeypatch.setattr(spectra, "isolate_roots", widened)
-    profile = classify(parse_poly("x^5 - x^4 - 1"))
-    assert (profile.certification, profile.reason) == (UNDECIDED, EQUAL_MODULI_UNPROVEN)
-    assert not profile.accepted
+    monkeypatch.setattr(spectra, "disk_root_count", no_verdict_at_seven_eighths)
+    P = parse_poly("x^5 - x^4 - 1")
+    assert classify(P).detail == "2 roots in |z| < 29/32 < 1/lambda"
+    _assert_separates(P, 4, 29, 32)
+
+
+NEAR_EQUAL_MODULI = parse_poly("x^5 - 1000000000000x^4 + x^2 - 1")
+
+
+@pytest.mark.parametrize(
+    "ceiling, certification", [(62, UNDECIDED), (63, REJECTED), (4096, REJECTED)]
+)
+def test_disk_search_ends_at_the_ceiling(ceiling, certification):
+    # the four small moduli lie within about 2**-63 (relative) of 1/lambda:
+    # too close for float roots to order, and rho needs k = 63
+    profile = classify(NEAR_EQUAL_MODULI, max_precision_bits=ceiling)
+    assert profile.certification == certification
+    if certification == UNDECIDED:
+        assert profile.reason == PRECISION_CEILING
+    else:
+        assert profile.detail == f"2 roots in |z| < 9223372036854775/{2**63} < 1/lambda"
+        _assert_separates(NEAR_EQUAL_MODULI, 4, 9223372036854775, 2**63)
+
+
+def test_interval_route_certifies_no_layout_above_q_two():
+    # Vieta makes containment a proof of equal moduli for q <= 2 only
+    P = parse_poly("x^5 - x^4 - 1")
+    with pytest.raises(ValueError, match="degrees 2 and 3"):
+        spectra._interval_classify(P, None, DEFAULT_PRECISION_CEILING)
     with open(SCHEMA_DIR / "profile.schema.json") as fh:
-        jsonschema.validate(profile.to_json(), json.load(fh))
+        reasons = json.load(fh)["properties"]["reason"]
+    assert "equal_moduli_unproven" not in json.dumps(reasons)
     assert classify(PLASTIC, force_interval=True).certification == INTERVAL_CERTIFIED
     assert classify(GOLDEN, force_interval=True).certification == INTERVAL_CERTIFIED
 
