@@ -98,7 +98,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("certify", help="classify one polynomial")
     p.add_argument("poly")
     p.add_argument("--gl", action="store_true")
-    p.add_argument("--force-interval", action="store_true")
+    p.add_argument(
+        "--force-interval",
+        action="store_true",
+        help="decide degrees 2 and 3 by the sign screens and root counts, not the exact tests",
+    )
     p.add_argument("--max-precision-bits", type=int, default=None)
     p.add_argument("--output")
 
@@ -183,7 +187,7 @@ def _cmd_certify(parser: _Parser, args) -> int:
 def _cmd_replay(parser: _Parser, args) -> int:
     P = _parse_poly_arg(parser, args.poly)
     try:
-        prof = classify(P)
+        prof = classify(P, max_precision_bits=_max_precision_bits())
         q = prof.q
         report = replay_case_even(P, prof) if q % 2 == 0 else replay_case_odd(P, prof)
     except ValueError as exc:
@@ -201,7 +205,7 @@ def _classify_accepted(parser: _Parser, args):
     """
     P = _parse_poly_arg(parser, args.poly)
     try:
-        prof = classify(P)
+        prof = classify(P, max_precision_bits=_max_precision_bits())
     except ValueError as exc:
         parser.error(str(exc))
     code = _VERDICT_EXIT.get(prof.certification, EXIT_OK)
@@ -243,6 +247,8 @@ def _cmd_build(parser: _Parser, args) -> int:
 def _cmd_verify_torus(parser: _Parser, args) -> int:
     if args.samples < 1:
         parser.error("--samples must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     P, prof, code = _classify_accepted(parser, args)
     if code != EXIT_OK:
         return code

@@ -3,10 +3,12 @@
 A polynomial of degree q+1 is accepted when it is the characteristic
 polynomial of an integer matrix with determinant one, a single expanding real
 eigenvalue lambda**q > 1, and q remaining eigenvalues all of modulus
-1/lambda. Degrees 2 and 3 are decided by exact integer tests (or root
-isolation on request); higher degrees end in an integer proof of rejection
-(sign screens, Descartes or Sturm counts, a Schur-Cohn disk count at a
-searched dyadic radius) or undecided at the precision ceiling.
+1/lambda. Degrees 2 and 3 are decided by exact integer tests, or, for
+a constant term the tests do not take (or on request), by the screens and
+real-root counts, after which Vieta and the discriminant settle the moduli.
+Higher degrees end in an integer proof of rejection (sign screens,
+Descartes or Sturm counts, a Schur-Cohn disk count at a searched dyadic
+radius) or undecided at the precision ceiling.
 
 The replay operations re-execute the two halves of the supporting argument
 (power-transform coincidence for even q, reversal coincidence for odd q) as
@@ -14,10 +16,8 @@ exact integer polynomial identities.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .exactnum import (
     bisect_root_dyadic,
@@ -142,6 +142,44 @@ def _real_enclosure(lo: Fraction, hi: Fraction, bits: int = 160) -> RootEnclosur
     return RootEnclosure(a, 0, bits, rad, is_real_certified=True)
 
 
+def _accepted(
+    P: IntPolynomial,
+    certification: str,
+    max_precision_bits: int = DEFAULT_PRECISION_CEILING,
+) -> SpectralProfile:
+    """The enclosures of a degree-2 or degree-3 layout already proven accepted.
+
+    q = 1: X**2 - t*X + c0 with c0 = +-1 and lambda = (t + sqrt(t**2 - 4*c0))/2.
+    q = 2: X**3 + a*X**2 + b*X - 1 with one real root alpha > 1 and a pair of
+    modulus 1/lambda, lambda = sqrt(alpha). The enclosures of the pair need
+    isolation within max_precision_bits; past it the verdict is Undecided /
+    precision_ceiling.
+    """
+    if P.degree == 2:
+        c0, t = P.coeffs[0], -P.coeffs[1]
+        s_lo, s_hi = sqrt_bounds(Fraction(t * t - 4 * c0), 140)
+        lam = (t + s_lo) / 2, (t + s_hi) / 2
+        big = _real_enclosure(lam[0], lam[1])
+        small = _real_enclosure((t - s_hi) / 2, (t - s_lo) / 2)
+        return SpectralProfile(
+            P, 1, certification, lam=lam, big_root=big, small_roots=(small,)
+        )
+    # alpha = unique real root in (1, 1 + max|coeff|); lambda = sqrt(alpha)
+    bound = 1 + max(abs(c) for c in P.coeffs)
+    a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150)
+    lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
+    big = _real_enclosure(a_lo, a_hi)
+    # disc < 0 proves P squarefree with one real root: no second Sturm chain
+    try:
+        encl = isolate_roots(
+            P, Fraction(1, 10**24), max_precision_bits=max_precision_bits, _real_count=1
+        )
+    except PrecisionExhausted:
+        return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
+    pair = tuple(e for e in encl if not e.is_real_certified)
+    return SpectralProfile(P, 2, certification, lam=lam, big_root=big, small_roots=pair)
+
+
 def exact_test_q1(P: IntPolynomial) -> SpectralProfile:
     """Exact degree-2 decision: accepts X**2 - t*X + 1 with t >= 3.
 
@@ -158,14 +196,7 @@ def exact_test_q1(P: IntPolynomial) -> SpectralProfile:
         return _rejected(P, 1, BOUNDARY_ROOT, "complex pair of modulus exactly 1")
     if t < 0:
         return _rejected(P, 1, EXPANDING_ROOT_COUNT, "both real roots are negative")
-    # t >= 3: lambda = (t + sqrt(t^2-4))/2 > 1
-    s_lo, s_hi = sqrt_bounds(Fraction(disc), 140)
-    lam = (t + s_lo) / 2, (t + s_hi) / 2
-    big = _real_enclosure(lam[0], lam[1])
-    small = _real_enclosure((t - s_hi) / 2, (t - s_lo) / 2)
-    return SpectralProfile(
-        P, 1, EXACT_Q1, lam=lam, big_root=big, small_roots=(small,)
-    )
+    return _accepted(P, EXACT_Q1)  # t >= 3
 
 
 def exact_test_q2(
@@ -193,20 +224,7 @@ def exact_test_q2(
         return _rejected(P, 2, BOUNDARY_ROOT, "root at 1")
     if s > 0:
         return _rejected(P, 2, EXPANDING_ROOT_COUNT, "real root below 1")
-    # alpha = unique real root in (1, 1 + max|coeff|); lambda = sqrt(alpha)
-    bound = 1 + max(abs(c) for c in P.coeffs)
-    a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150)
-    lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
-    big = _real_enclosure(a_lo, a_hi)
-    # disc < 0 proves P squarefree with one real root: no second Sturm chain
-    try:
-        encl = isolate_roots(
-            P, Fraction(1, 10**24), max_precision_bits=max_precision_bits, _real_count=1
-        )
-    except PrecisionExhausted:
-        return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
-    pair = tuple(e for e in encl if not e.is_real_certified)
-    return SpectralProfile(P, 2, EXACT_Q2, lam=lam, big_root=big, small_roots=pair)
+    return _accepted(P, EXACT_Q2, max_precision_bits)
 
 
 def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
@@ -233,13 +251,11 @@ def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
     return None
 
 
-def _sturm_counts(chain) -> tuple[int, int, int]:
-    """Real roots above 1, below -1 and in all, from a squarefree Sturm chain."""
-    v_inf = variations_at_infinity(chain, positive=True)
-    v_minf = variations_at_infinity(chain, positive=False)
-    above = variations_at(chain, Fraction(1)) - v_inf
-    below = v_minf - variations_at(chain, Fraction(-1))
-    return above, below, v_minf - v_inf
+def _sturm_counts(chain) -> tuple[int, int]:
+    """Real roots above 1 and below -1, from a squarefree Sturm chain."""
+    above = variations_at(chain, Fraction(1)) - variations_at_infinity(chain, positive=True)
+    below = variations_at_infinity(chain, positive=False) - variations_at(chain, Fraction(-1))
+    return above, below
 
 
 def _disk_search(P: IntPolynomial, q: int, max_precision_bits: int) -> SpectralProfile:
@@ -280,74 +296,6 @@ def _disk_search(P: IntPolynomial, q: int, max_precision_bits: int) -> SpectralP
     return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
 
 
-def _interval_classify(
-    P: IntPolynomial, real_count: int | None, max_precision_bits: int
-) -> SpectralProfile:
-    """The isolation route for degrees 2 and 3: certified enclosures of every
-    root, then separation or containment of the moduli against 1/lambda."""
-    q = P.degree - 1
-    if q >= 3:  # containment proves equal moduli only through Vieta, for q <= 2
-        raise ValueError("the isolation route decides degrees 2 and 3 only")
-    # one ladder to the caller's ceiling: a straddle squares the target and
-    # doubles the refinement bits. PrecisionExhausted ends it, as the radii all
-    # reach 0 only if each root is a Gaussian-integer unit, and one exceeds 1
-    for i in itertools.count():
-        target, refine_bits = Fraction(1, 10 ** (10 << i)), 260 << i
-        try:
-            encl = isolate_roots(
-                P, target, max_precision_bits=max_precision_bits, _real_count=real_count
-            )
-        except PrecisionExhausted:
-            return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
-
-        bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
-        if len(bigs) != 1:
-            continue  # enclosures too coarse to isolate the expanding root from 1
-        big = bigs[0]
-        b_lo, b_hi = big.real_interval()
-        smalls = tuple(e for e in encl if e is not big)
-
-        # target interval for 1/lambda = (big root)**(-1/q), coarse first, then
-        # from a bracket refined far below the enclosure radii so containment is
-        # decidable. The bracket holds one simple root, irrational since a
-        # rational root of monic P divides P(0) = +-1
-        for bits in (100, refine_bits):
-            if bits == refine_bits:
-                b_lo, b_hi = bisect_root_dyadic(P.coeffs, b_lo, b_hi, bits)
-            t_lo = nth_root_bounds(1 / b_hi, q, bits)[0]
-            t_hi = nth_root_bounds(1 / b_lo, q, bits)[1]
-            verdict = _separation_verdict(smalls, t_lo, t_hi)
-            if verdict is not None:
-                return _rejected(P, q, MODULUS_SEPARATION, verdict)
-        m_los, m_his = zip(*(e.modulus_interval() for e in smalls))
-        if not (max(m_los) <= t_lo and t_hi <= min(m_his)):
-            continue  # straddling intervals
-        # Vieta consistency: the enclosure product must allow |product| = 1
-        if not b_lo * prod(m_los) <= 1 <= b_hi * prod(m_his):
-            continue
-        lam = (
-            nth_root_bounds(b_lo, q, refine_bits)[0],
-            nth_root_bounds(b_hi, q, refine_bits)[1],
-        )
-        return SpectralProfile(
-            P, q, INTERVAL_CERTIFIED, lam=lam, big_root=big, small_roots=smalls
-        )
-
-
-def _separation_verdict(smalls, t_lo: Fraction, t_hi: Fraction) -> str | None:
-    for e in smalls:
-        m_lo, m_hi = e.modulus_interval()
-        if m_hi < t_lo:
-            return (
-                f"root near {e.center:.6g} has modulus below the target interval"
-            )
-        if m_lo > t_hi:
-            return (
-                f"root near {e.center:.6g} has modulus above the target interval"
-            )
-    return None
-
-
 def classify(
     P: IntPolynomial,
     *,
@@ -358,8 +306,10 @@ def classify(
     """Full classification verdict for a monic integer polynomial.
 
     allow_gl relaxes the determinant-one constant term to |P(0)| = 1;
-    force_interval routes degrees 2 and 3 through the interval pipeline
-    instead of their exact tests (used for agreement checks).
+    force_interval decides degrees 2 and 3 by the screens and counts instead
+    of their exact tests (used for agreement checks). Acceptances reached
+    that way are labelled IntervalCertified; a rejection of the moduli at
+    degree 3 comes from the disk search, as at degree >= 4.
     """
     if not P.is_monic:
         raise ValueError("classify requires a monic polynomial")
@@ -381,34 +331,38 @@ def classify(
         if n == 3 and c0 == -1:
             return exact_test_q2(P, max_precision_bits)
     # stage order: sign screens, squarefree proof, real-root counts (Descartes,
-    # else Sturm), disk search (degree >= 4) or isolation. not_squarefree outranks
-    # a screen verdict, so a screen rejection stands only once a small prime or
-    # the Sturm chain proves P squarefree
+    # else Sturm), then Vieta (degrees 2 and 3) or the disk search.
+    # not_squarefree outranks a screen verdict, so a screen rejection stands
+    # only once a small prime or the Sturm chain proves P squarefree
     screen = _sign_screen(P)
     squarefree = squarefree_by_small_primes(P.coeffs)
     if screen is not None and squarefree:
         return screen
-    if (
+    if not (
         screen is None
         and squarefree
         and variations_above_one(P.coeffs) == 1
         and variations_above_one([-c if j % 2 else c for j, c in enumerate(P.coeffs)]) == 0
     ):
-        real_count = None  # counts settled; isolate_roots counts all if reached
-    else:
         chain = sturm_chain(P.coeffs)
         if not chain_is_squarefree(chain):
             return _rejected(P, q, NOT_SQUAREFREE)
         if screen is not None:
             return screen
-        above, below, real_count = _sturm_counts(chain)
+        above, below = _sturm_counts(chain)
         if above != 1:
             return _rejected(P, q, EXPANDING_ROOT_COUNT, f"{above} real roots above 1")
         if below != 0:
             return _rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
-    if q >= 3:
-        return _disk_search(P, q, max_precision_bits)
-    return _interval_classify(P, real_count, max_precision_bits)
+    # one real root lambda**q > 1, no other real root outside (-1, 1).
+    # Vieta: at q = 1 the other root is +-1/lambda. At q = 2 a conjugate pair
+    # (disc < 0) has modulus 1/lambda, as then c0 = -1 (c0 = +1 with
+    # P(0) > 0 > P(1) gives three real roots). Two small real roots r, -r
+    # would leave (X - lambda**2)(X**2 - r**2) with the integer root -a > 1,
+    # which cannot divide P(0) = +-1: their moduli differ
+    if q == 1 or (q == 2 and discriminant(P) < 0):
+        return _accepted(P, INTERVAL_CERTIFIED, max_precision_bits)
+    return _disk_search(P, q, max_precision_bits)
 
 
 def irreducible_by_modulus(P: IntPolynomial, profile: SpectralProfile) -> bool:

@@ -330,6 +330,13 @@ def test_verify_torus_refuses_no_samples(samples, capsys):
     assert "--samples must be positive" in err
 
 
+def test_verify_torus_refuses_a_negative_seed(capsys):
+    code, out, err = run_cli(["verify-torus", "x^2 - 3x + 1", "--seed", "-1"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus verify-torus ")
+    assert "--seed must be non-negative" in err
+
+
 def test_verify_torus_classifies_once(capsys, monkeypatch):
     calls = []
 
@@ -469,6 +476,29 @@ def test_precision_env_var_garbage_is_usage_error(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "SPECTORUS_MAX_PRECISION" in err
+
+
+@pytest.mark.parametrize("verb", ["replay", "build", "verify-torus"])
+def test_precision_env_var_garbage_is_usage_error_in_every_classifying_verb(
+    verb, monkeypatch, capsys
+):
+    monkeypatch.setenv("SPECTORUS_MAX_PRECISION", "abc")
+    code, out, err = run_cli([verb, "x^2 - 3x + 1"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"usage: spectorus {verb} ")
+    assert "SPECTORUS_MAX_PRECISION must be an integer" in err
+
+
+@pytest.mark.parametrize(
+    "verb, code", [("certify", 2), ("replay", 0), ("build", 2), ("verify-torus", 2)]
+)
+def test_precision_env_var_bounds_every_classifying_verb(verb, code, monkeypatch, capsys):
+    # the pair of the accepted cubic needs a rung past 60 bits
+    monkeypatch.setenv("SPECTORUS_MAX_PRECISION", "60")
+    got, out, _ = run_cli([verb, "x^3 - x - 1"], capsys)
+    payload = json.loads(out)
+    assert got == code
+    assert payload.get("profile", payload)["certification"] == "Undecided"
 
 
 def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):

@@ -72,6 +72,18 @@ def test_cold_certify_loads_no_heavy_module(poly, code):
     assert _cold_cli("certify", poly) == {"exit": code, "loaded": []}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("x^2 - 7x - 1", "--gl"), 0),  # q = 1 past the counts: closed form
+        (("x^2 - 7x + 1", "--force-interval"), 0),
+        (("x^3 - 3x^2 - x + 1", "--gl"), 1),  # three real roots: disk search
+    ],
+)
+def test_cold_certify_past_the_counts_loads_no_heavy_module(argv, code):
+    assert _cold_cli("certify", *argv) == {"exit": code, "loaded": []}
+
+
 def test_cold_certify_of_an_accepted_cubic_loads_numpy_and_mpmath_only():
     # the conjugate pair is isolated: float seeds, then mpmath polish
     assert _cold_cli("certify", "x^3 - 2x^2 - 1") == {"exit": 0, "loaded": ["mpmath", "numpy"]}

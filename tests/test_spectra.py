@@ -227,54 +227,10 @@ def test_classify_undecided_at_float_rung_ceiling():
     profile = classify(FLOAT_RUNG_MISS, max_precision_bits=53)
     assert profile.certification == REJECTED
     assert profile.reason == MODULUS_SEPARATION
-    # the isolation route of a gl quadratic does not reach radius 1e-10 there
+    # a gl quadratic past the counts is accepted in closed form, at any ceiling
     profile = classify(GL_FLOAT_RUNG_MISS, allow_gl=True, max_precision_bits=53)
-    assert profile.certification == UNDECIDED
-    assert profile.reason == PRECISION_CEILING
-    assert not profile.accepted
-    profile = classify(GL_FLOAT_RUNG_MISS, allow_gl=True)
     assert profile.certification == INTERVAL_CERTIFIED
-
-
-def _record_isolation(monkeypatch):
-    """Stub out the separation; log (target, raised) per isolate_roots call
-    and ("bisect", bits) per refinement of the expanding root."""
-    calls = []
-
-    def recording(P, target, **kw):
-        try:
-            out = isolate_roots(P, target, **kw)
-        except PrecisionExhausted:
-            calls.append((target, True))
-            raise
-        calls.append((target, False))
-        return out
-
-    def bisect(coeffs, lo, hi, bits):
-        calls.append(("bisect", bits))
-        return bisect_root_dyadic(coeffs, lo, hi, bits)
-
-    monkeypatch.setattr(spectra, "_separation_verdict", lambda *args: None)
-    monkeypatch.setattr(spectra, "isolate_roots", recording)
-    monkeypatch.setattr(spectra, "bisect_root_dyadic", bisect)
-    return calls
-
-
-@pytest.mark.parametrize("ceiling, passes", [(1024, 6), (240, 4)])
-def test_straddle_escalates_until_the_ceiling(monkeypatch, ceiling, passes):
-    # a gl cubic with three real roots: no small modulus equals the target,
-    # so without separation every pass straddles
-    calls = _record_isolation(monkeypatch)
-    P = parse_poly("x^3 - 3x^2 - x + 1")
-    profile = classify(P, allow_gl=True, max_precision_bits=ceiling)
-    assert profile.certification == UNDECIDED
-    assert profile.reason == PRECISION_CEILING
-    # each straddle squares the target and doubles the refinement bits
-    expected = []
-    for i in range(passes - 1):
-        expected += [(Fraction(1, 10 ** (10 << i)), False), ("bisect", 260 << i)]
-    expected.append((Fraction(1, 10 ** (10 << (passes - 1))), True))
-    assert calls == expected
+    assert profile == classify(GL_FLOAT_RUNG_MISS, allow_gl=True)
 
 
 def test_classify_rejects_reducible_product_of_accepted():
@@ -300,6 +256,53 @@ def test_forced_interval_route_agrees_with_exact_tests():
                 assert forced.lambda_float == pytest.approx(
                     exact.lambda_float, abs=1e-9
                 )
+
+
+@pytest.mark.parametrize("ceiling", [53, 100, DEFAULT_PRECISION_CEILING])
+def test_forced_acceptance_is_the_exact_one_relabelled(ceiling):
+    # past the counts, an acceptance is built by the same closed forms and
+    # pair isolation as the exact tests: only the label differs. An exact
+    # Undecided (the pair above the ceiling) stays Undecided
+    polys = [quadratic(t) for t in range(3, 201)]
+    polys += [
+        cubic(a, b)
+        for a in range(-30, 31)
+        for b in range(-30, 31)
+        if a + b < 0 and discriminant(cubic(a, b)) < 0
+    ]
+    undecided = 0
+    for P in polys:
+        exact = classify(P, max_precision_bits=ceiling)
+        want = exact
+        if exact.accepted:
+            want = dataclasses.replace(exact, certification=INTERVAL_CERTIFIED)
+        else:
+            assert (exact.certification, exact.reason) == (UNDECIDED, PRECISION_CEILING)
+            undecided += 1
+        assert classify(P, force_interval=True, max_precision_bits=ceiling) == want, P.render()
+    assert (undecided > 0) == (ceiling == 53)  # the pair needs a rung past floats
+
+
+def test_gl_quadratic_lambda_is_the_closed_form():
+    # X^2 - tX - 1: lambda = (t + sqrt(t^2 + 4))/2, the other root -1/lambda
+    with mpmath.workdps(120):  # resolves far below the 2**-140 width of the bounds
+        for t in (*range(1, 40), 3974751, 10**40 + 7):
+            profile = classify(IntPolynomial((-1, -t, 1)), allow_gl=True)
+            assert (profile.certification, profile.q) == (INTERVAL_CERTIFIED, 1)
+            lam = (t + mpmath.sqrt(t * t + 4)) / 2
+            lo, hi = profile.lam
+            assert mpmath.mpf(lo.numerator) / lo.denominator <= lam
+            assert lam <= mpmath.mpf(hi.numerator) / hi.denominator
+            assert irreducible_by_modulus(profile.poly, profile)
+
+
+def test_huge_gl_cubic_with_three_real_roots_is_rejected():
+    # two small real roots of unequal moduli: the disk search separates them
+    P = parse_poly("x^3 - 6450108059913318905063962x^2 - 52808315260016213031428x + 1")
+    assert discriminant(P) > 0
+    profile = classify(P, allow_gl=True)
+    assert (profile.certification, profile.reason) == (REJECTED, MODULUS_SEPARATION)
+    assert DISK_DETAIL.fullmatch(profile.detail)
 
 
 def test_interval_profile_shape_for_accepted_cubic():
@@ -329,10 +332,23 @@ def test_profile_json_fields():
 
 # ------------------------------------------------- chain-first stage order
 
+def _separation_verdict(smalls, t_lo, t_hi):
+    """The detail of a small root whose modulus interval misses [t_lo, t_hi]."""
+    for e in smalls:
+        m_lo, m_hi = e.modulus_interval()
+        if m_hi < t_lo:
+            return f"root near {e.center:.6g} has modulus below the target interval"
+        if m_lo > t_hi:
+            return f"root near {e.center:.6g} has modulus above the target interval"
+    return None
+
+
 def _chain_first_classify(P, allow_gl=False, force_interval=False):
-    """Reference classify in the earlier stage order: the Sturm chain's
-    squarefree verdict first, then the P(+-1) screens, the Sturm counts and
-    the first isolation pass; isolate_roots builds its own chain again."""
+    """Reference classify in an earlier stage order and by an independent
+    route: the Sturm chain's squarefree verdict first, then the P(+-1)
+    screens, the Sturm counts and one pass of root isolation that separates
+    the moduli from 1/lambda or contains it; isolate_roots builds its own
+    chain again."""
     n, q, c0 = P.degree, P.degree - 1, P.coeffs[0]
     expected = -1 if n % 2 else 1
     if (abs(c0) != 1) if allow_gl else (c0 != expected):
@@ -377,13 +393,13 @@ def _chain_first_classify(P, allow_gl=False, force_interval=False):
     smalls = tuple(e for e in encl if e is not big)
     t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
     t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
-    verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+    verdict = _separation_verdict(smalls, t_lo, t_hi)
     if verdict is not None:
         return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
     b_lo, b_hi = bisect_root_dyadic(P.coeffs, b_lo, b_hi, refine_bits)
     t_lo = nth_root_bounds(1 / b_hi, q, refine_bits)[0]
     t_hi = nth_root_bounds(1 / b_lo, q, refine_bits)[1]
-    verdict = spectra._separation_verdict(smalls, t_lo, t_hi)
+    verdict = _separation_verdict(smalls, t_lo, t_hi)
     if verdict is not None:
         return spectra._rejected(P, q, MODULUS_SEPARATION, verdict)
     moduli = [e.modulus_interval() for e in smalls]
@@ -442,16 +458,24 @@ DISK_DETAIL = re.compile(r"(1 root|[2-9] roots) in \|z\| < [1-9][0-9]*/[1-9][0-9
 
 
 def _assert_same_as_chain_first(polys, **kw):
-    # exact equality of the profiles: the Fraction lambda interval and the
-    # enclosures, not only their rounded JSON. Only the detail of a degree >= 4
-    # modulus rejection differs: the disk count decides those
+    # the same certification, reason and q. The disk count decides every
+    # modulus rejection, so only its detail differs; an acceptance past the
+    # counts carries closed-form enclosures, so its lambda interval need only
+    # overlap the isolated one. Every other profile is exactly equal: the
+    # Fraction lambda interval and the enclosures, not only their rounded JSON
     for P in polys:
         got, want = classify(P, **kw), _chain_first_classify(P, **kw)
-        if P.degree >= 4 and want.reason == MODULUS_SEPARATION:
+        assert (got.certification, got.reason, got.q) == (
+            want.certification, want.reason, want.q
+        ), P.render()
+        if want.reason == MODULUS_SEPARATION:
             assert DISK_DETAIL.fullmatch(got.detail), (P.render(), got.detail)
-            got = dataclasses.replace(got, detail=want.detail)
-        assert got == want, P.render()
-        assert json.dumps(got.to_json()) == json.dumps(want.to_json()), P.render()
+        elif want.certification == INTERVAL_CERTIFIED:
+            (g_lo, g_hi), (w_lo, w_hi) = got.lam, want.lam
+            assert g_lo <= w_hi and w_lo <= g_hi, P.render()
+        else:
+            assert got == want, P.render()
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json()), P.render()
 
 
 @pytest.mark.parametrize("degree, bound", [(4, 3), (5, 2), (6, 1)])
@@ -542,7 +566,7 @@ def _assert_stages_match_isolation(polys):
         chain = sturm_chain(P.coeffs)
         if not chain_is_squarefree(chain):
             continue
-        above, below, _ = spectra._sturm_counts(chain)
+        above, below = spectra._sturm_counts(chain)
         negated = [-c if j % 2 else c for j, c in enumerate(P.coeffs)]
         if variations_above_one(P.coeffs) == 1 and variations_above_one(negated) == 0:
             assert (above, below) == (1, 0), P.render()
@@ -664,10 +688,7 @@ def test_disk_search_ends_at_the_ceiling(ceiling, certification):
 
 
 def test_interval_route_certifies_no_layout_above_q_two():
-    # Vieta makes containment a proof of equal moduli for q <= 2 only
-    P = parse_poly("x^5 - x^4 - 1")
-    with pytest.raises(ValueError, match="degrees 2 and 3"):
-        spectra._interval_classify(P, None, DEFAULT_PRECISION_CEILING)
+    # Vieta proves equal moduli from the counts for q <= 2 only
     with open(SCHEMA_DIR / "profile.schema.json") as fh:
         reasons = json.load(fh)["properties"]["reason"]
     assert "equal_moduli_unproven" not in json.dumps(reasons)
