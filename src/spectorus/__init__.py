@@ -56,7 +56,6 @@ _EXPORTS = {
         "MappingTorusModel",
         "companion",
         "split",
-        "solve_b",
         "build_certificate",
         "build_model",
         "metric_at",

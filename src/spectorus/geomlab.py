@@ -1,12 +1,15 @@
 """Mapping-torus geometry for an accepted polynomial.
 
-From an accepted classification this module builds the companion matrix, the
-invariant splitting into the expanding line and its complement, the bilinear
-form making the rescaled restriction orthogonal, and the warped metric
-diag(1, ..., 1, phi(t), 1) on the cylinder cover. Verification routines
-confirm the defining identities numerically: the fixed-point equation of the
-form, the deck map acting as a homothety of ratio lambda**(-2), and the
-sectional curvature -q(q+1)/t**2 of the warped plane.
+From an accepted classification this module builds the companion matrix A and
+its invariant splitting into the expanding line and its complement. Each
+direction is read off a certified root, as P(X)/(X - c) at the dyadic center c
+of its enclosure, so no eigensolver runs. In that frame lam*A_s is a rotation,
+the invariant form b is the identity, and the frame matrix is exact before it
+is rounded once. On the cylinder cover sits the warped metric
+diag(1, ..., 1, phi(t), 1). Verification routines confirm the defining
+identities numerically: the orthogonality of lam*A_s, the deck map acting as a
+homothety of ratio lambda**(-2), and the sectional curvature -q(q+1)/t**2 of
+the warped plane.
 """
 from __future__ import annotations
 
@@ -18,19 +21,18 @@ from typing import Callable
 import numpy as np
 
 from .intpoly import IntPolynomial, _bareiss_det
+from .rootcert import RootEnclosure
 from .spectra import SpectralProfile, classify
-
-_EIG_TOL = 1e-9  # threshold separating real eigenvalues from conjugate pairs
 
 
 def companion(P: IntPolynomial) -> np.ndarray:
-    """Companion matrix with det(X*Id - A) = P and det A = 1."""
+    """Companion matrix in Python ints, with det(X*Id - A) = P and det A = 1."""
     n = P.degree
     if n < 1 or not P.is_monic:
         raise ValueError("companion requires a monic polynomial of degree >= 1")
     if P.coeffs[0] != (-1) ** n:
         raise ValueError("constant term must be (-1)^degree for det A = 1")
-    A = np.zeros((n, n), dtype=np.int64)
+    A = np.zeros((n, n), dtype=object)
     for i in range(1, n):
         A[i, i - 1] = 1
     for i in range(n):
@@ -60,104 +62,107 @@ def _canonical_phase(v: np.ndarray) -> np.ndarray:
     piv = v[i]
     if abs(piv) == 0:
         return v
-    return v * (abs(piv) / piv)
+    out = v * (abs(piv) / piv)
+    out[i] = abs(piv)  # real to the last bit, not up to rounding
+    return out
 
 
-def _real_basis(w: np.ndarray, V: np.ndarray, indices) -> np.ndarray:
-    """Real columns spanning the eigenvectors V[:, k] for k in indices.
+def _exact_frame(profile: SpectralProfile) -> list[list[list[Fraction]]]:
+    """Blocks of exact frame columns, read off the certified roots.
 
-    A real eigenvalue gives its eigenvector; a conjugate pair gives, once, the
-    real and imaginary parts of the eigenvector of its positive-imaginary
-    member. Columns follow the eigenvalues sorted by real part, then |imag|.
+    Q = P(X)/(X - c), by synthetic division at the dyadic center c of an
+    enclosure, satisfies X*Q = c*Q - P(c) modulo P, so its coefficients are an
+    eigenvector of the companion up to the residual P(c), which the enclosure
+    keeps tiny. The blocks are [Q] per real small root, [Re Q, Im Q] per
+    conjugate pair (the member with positive imaginary part), then [Q] for the
+    expanding root.
     """
-    order = sorted(
-        indices, key=lambda k: (round(w[k].real, 12), round(abs(w[k].imag), 12))
-    )
+    P = profile.poly
+    blocks = []
+    for root in [*(r for r in profile.small_roots if r.b >= 0), profile.big_root]:
+        c_re, c_im = Fraction(root.a, 1 << root.k), Fraction(root.b, 1 << root.k)
+        re, im = Fraction(1), Fraction(0)
+        res, ims = [re], [im]
+        for p in P.coeffs[-2:0:-1]:
+            re, im = p + c_re * re - c_im * im, c_re * im + c_im * re
+            res.append(re)
+            ims.append(im)
+        blocks.append([res[::-1], ims[::-1]] if c_im else [res[::-1]])
+    return blocks
+
+
+def _unit_frame(frame: list[list[list[Fraction]]]) -> tuple[np.ndarray, np.ndarray]:
+    """(Eu, Es_basis): each block rounded once, to a unit vector phased by _canonical_phase."""
     cols: list[np.ndarray] = []
-    used_pairs: set[complex] = set()
-    for k in order:
-        lam_k = w[k]
-        if abs(lam_k.imag) <= _EIG_TOL:
-            cols.append(np.real(_canonical_phase(V[:, k])))
-        else:
-            key = complex(round(lam_k.real, 10), round(abs(lam_k.imag), 10))
-            if key in used_pairs:
-                continue
-            used_pairs.add(key)
-            vk = V[:, k] if lam_k.imag > 0 else np.conj(V[:, k])
-            vk = _canonical_phase(vk)
-            cols.append(np.real(vk))
-            cols.append(np.imag(vk))
-    return np.column_stack(cols)
+    for block in frame:
+        im = block[1] if len(block) == 2 else [0] * len(block[0])
+        v = np.array([complex(float(x), float(y)) for x, y in zip(block[0], im)])
+        v = _canonical_phase(v / np.linalg.norm(v))
+        cols += [v.real, v.imag][: len(block)]
+    return cols[-1], np.column_stack(cols[:-1])
 
 
-def split(A: np.ndarray, profile: SpectralProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Invariant splitting: expanding eigenvector and a basis of the rest.
+def split(profile: SpectralProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Invariant splitting of the companion of profile.poly, from its roots.
 
-    Returns (Eu, Es_basis) with Eu the unit real eigenvector for the
-    expanding eigenvalue and Es_basis an n x q matrix whose columns are, per
-    conjugate pair, the real and imaginary parts of an eigenvector, and per
-    real small eigenvalue the eigenvector itself.
+    Returns (Eu, Es_basis) with Eu the unit eigenvector of the expanding root
+    and Es_basis an n x q matrix whose columns are, per real small root, its
+    unit eigenvector and, per conjugate pair, the real and imaginary parts of
+    the unit eigenvector of the member with positive imaginary part.
     """
     if not profile.accepted:
         raise ValueError("split requires an accepted profile")
-    n = A.shape[0]
-    Af = A.astype(float)
-    big = float(profile.big_root.center.real)
-    w, V = np.linalg.eig(Af)
-    i_big = int(np.argmax(np.abs(w)))
-    Eu = np.real(_canonical_phase(V[:, i_big]))
-    Eu = Eu / np.linalg.norm(Eu)
-    # two rounds of inverse iteration against the certified eigenvalue
-    for _ in range(2):
-        try:
-            Eu = np.linalg.solve(Af - big * np.eye(n), Eu)
-        except np.linalg.LinAlgError:
-            break  # shifted matrix numerically singular: Eu already converged
-        Eu = Eu / np.linalg.norm(Eu)
-    j = int(np.argmax(np.abs(Eu)))
-    if Eu[j] < 0:
-        Eu = -Eu
-    resid = np.linalg.norm(Af @ Eu - big * Eu)
-    if resid > 1e-8:
-        raise ArithmeticError(f"expanding eigenvector did not converge: {resid:g}")
-    return Eu, _real_basis(w, V, [k for k in range(n) if k != i_big])
+    return _unit_frame(_exact_frame(profile))
 
 
-def solve_b(A_s: np.ndarray, lam: float) -> np.ndarray:
-    """Positive definite fixed point of S^T b S = b for S = lam * A_s.
+def _frame_matrix(A: np.ndarray, cols: list[list[Fraction]]) -> np.ndarray:
+    """F^-1 A F for the exact frame columns F, rounded once.
 
-    Valid when every eigenvalue of S has modulus 1: in the real basis built
-    from the eigenvectors, S is block-rotation orthogonal, so the Gram matrix
-    of the inverse basis is a fixed point. Normalized to trace q for
-    deterministic output.
+    Scaling the columns by a common denominator D leaves F^-1 A F unchanged,
+    so Cramer's rule gives each entry as a ratio of integer determinants, and
+    int / int rounds that ratio correctly.
     """
-    q = A_s.shape[0]
-    S = lam * np.asarray(A_s, dtype=float)
-    w, V = np.linalg.eig(S)
-    if np.max(np.abs(np.abs(w) - 1.0)) > 1e-9:
-        raise ValueError("solve_b requires all eigenvalues of lam*A_s on the unit circle")
-    Tinv = np.linalg.inv(_real_basis(w, V, range(q)))
-    b = Tinv.T @ Tinv
-    b = b * (q / np.trace(b))
-    b = (b + b.T) / 2
-    if np.any(np.linalg.eigvalsh(b) <= 0):
-        raise ArithmeticError("no positive definite fixed point found")
-    residual = np.linalg.norm(S.T @ b @ S - b)
-    if residual > 1e-10:
-        raise ArithmeticError(f"fixed-point residual too large: {residual:g}")
-    return b
+    n = len(cols)
+    D = math.lcm(*(x.denominator for col in cols for x in col))
+    F = [[col[i].numerator * (D // col[i].denominator) for col in cols] for i in range(n)]
+    AF = (A @ np.array(F, dtype=object)).tolist()
+    det = _bareiss_det(F)
+    M = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            Fij = [row[:i] + [AF[r][j]] + row[i + 1 :] for r, row in enumerate(F)]
+            M[i, j] = _bareiss_det(Fij) / det
+    return M
+
+
+def _invariance_residual(A: np.ndarray, Eu: np.ndarray, big: RootEnclosure) -> float:
+    """Norm of A*Eu - c*Eu at the dyadic center c of the expanding root.
+
+    Each component is exact before it is rounded once, so the residual
+    measures Eu and not the rounding of products with large entries of A.
+    """
+    c = Fraction(big.a, 1 << big.k)
+    u = np.array([Fraction(x) for x in Eu.tolist()], dtype=object)
+    return float(np.linalg.norm((A @ u - c * u).astype(float)))
 
 
 @dataclass(frozen=True)
 class SplittingCertificate:
-    """Companion matrix with its invariant splitting and orthogonality form."""
+    """Companion matrix with its invariant splitting and orthogonality form.
+
+    M = F^-1 A F, rounded once, for the exact frame F whose columns, scaled to
+    unit vectors and rounded, are [Es_basis | Eu]. The scaling commutes with
+    M's diagonal blocks, A_s and the expanding root, and multiplies the
+    off-diagonal ones, which vanish with the residuals P(c). M is the
+    Jacobian of the deck map and is not serialised.
+    """
 
     A: np.ndarray
     lam: float
     Eu: np.ndarray
     Es_basis: np.ndarray
     b: np.ndarray
+    M: np.ndarray
     residual_orthogonality: float
     residual_invariance: float
 
@@ -208,32 +213,40 @@ class MappingTorusModel:
 def build_certificate(
     P: IntPolynomial, profile: SpectralProfile | None = None
 ) -> SplittingCertificate:
-    """Full pipeline: classify, companion, split, solve the form."""
+    """Full pipeline: classify, companion, the frame from the roots, F^-1 A F.
+
+    The residuals are gates: lam*A_s must be orthogonal within 1e-10 and Eu
+    an eigenvector within 1e-8, or ArithmeticError is raised.
+    """
     if profile is None:
         profile = classify(P)
+    elif profile.poly != P:
+        raise ValueError("profile does not match the polynomial")
     if not profile.accepted:
         raise ValueError(f"polynomial not accepted: {profile.reason}")
     A = companion(P)
     if not charpoly_matches(A, P):
         raise AssertionError("companion characteristic polynomial mismatch")
-    Eu, Es = split(A, profile)
-    Af = A.astype(float)
-    big = float(profile.big_root.center.real)
-    lam = big ** (1.0 / profile.q)
-    lam_iv = profile.lam
-    if lam_iv is not None:
-        lam = float((lam_iv[0] + lam_iv[1]) / 2)
-    A_s, *_ = np.linalg.lstsq(Es, Af @ Es, rcond=None)
-    b = solve_b(A_s, lam)
-    S = lam * A_s
+    frame = _exact_frame(profile)
+    Eu, Es = _unit_frame(frame)
+    M = _frame_matrix(A, [col for block in frame for col in block])
+    q = profile.q
+    lam = profile.lambda_float
+    b = np.eye(q)
+    S = lam * M[:q, :q]
     res_orth = float(np.linalg.norm(S.T @ b @ S - b))
-    res_inv = float(np.linalg.norm(Af @ Eu - big * Eu))
+    if res_orth > 1e-10:
+        raise ArithmeticError(f"lam*A_s is not a rotation: residual {res_orth:g}")
+    res_inv = _invariance_residual(A, Eu, profile.big_root)
+    if res_inv > 1e-8:
+        raise ArithmeticError(f"expanding eigenvector residual too large: {res_inv:g}")
     return SplittingCertificate(
         A=A,
         lam=lam,
         Eu=Eu,
         Es_basis=Es,
         b=b,
+        M=M,
         residual_orthogonality=res_orth,
         residual_invariance=res_inv,
     )
@@ -260,30 +273,22 @@ def metric_at(model: MappingTorusModel, point) -> np.ndarray:
     return g
 
 
-def _adapted_frame(cert: SplittingCertificate) -> np.ndarray:
-    """Column frame: b-orthonormal stable vectors, then the unit Eu."""
-    L = np.linalg.cholesky(cert.b)
-    W = np.linalg.inv(L).T  # W^T b W = Id
-    return np.column_stack([cert.Es_basis @ W, cert.Eu])
-
-
 def deck_pullback_check(
     model: MappingTorusModel, sample_points, use_identity: bool = False
 ) -> float:
     """Max relative deviation of the deck pullback from lambda**(-2) * g.
 
-    The deck map (x, t) -> (Mx, t/lam) has constant Jacobian diag(M, 1/lam)
-    in the adapted frame, so no differencing is needed. use_identity swaps in
-    the identity map as a non-contracting control (deviation near 1).
+    In the frame [Es_basis | Eu] the deck map (x, t) -> (Mx, t/lam) has the
+    constant Jacobian diag(M, 1/lam), with M the certificate's exact frame
+    matrix, so no differencing is needed. use_identity swaps in the identity
+    map as a non-contracting control (deviation near 1).
     """
     cert = model.cert
     lam = cert.lam
-    E = _adapted_frame(cert)
-    M = np.linalg.solve(E, cert.A.astype(float) @ E)
     n = model.q + 2
     J = np.eye(n)
     if not use_identity:
-        J[: n - 1, : n - 1] = M
+        J[: n - 1, : n - 1] = cert.M
         J[n - 1, n - 1] = 1.0 / lam
     worst = 0.0
     for point in sample_points:

@@ -36,6 +36,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .intpoly import _bareiss_det
+
 GRAD_STEP_REL = 1e-5
 HESS_STEP_REL = 1e-4
 # Most points one call of a potential receives. The s <= 3 hessian (129 points)
@@ -328,18 +330,6 @@ def check_determinant(point: HyperPoint) -> float:
     return abs(det - ref) / abs(ref)
 
 
-def _det_exact(M: list[list[Fraction]]) -> Fraction:
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = Fraction(0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-        term = M[0][j] * _det_exact(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def exact_determinant_identity(ys: Sequence[Fraction]) -> bool:
     """det h == (s+1) u^(s+2) / 4^s in exact rational arithmetic."""
     s = len(ys)
@@ -355,7 +345,10 @@ def exact_determinant_identity(ys: Sequence[Fraction]) -> bool:
         [u / 4 * (1 + (j == k)) / (ys[j] * ys[k]) for k in range(s)]
         for j in range(s)
     ]
-    return _det_exact(h) == (s + 1) * u ** (s + 2) / Fraction(4) ** s
+    # det(D*h) = D**s * det(h) for the common denominator D of the entries
+    D = math.lcm(*(x.denominator for row in h for x in row))
+    scaled = [[x.numerator * (D // x.denominator) for x in row] for row in h]
+    return Fraction(_bareiss_det(scaled), D**s) == (s + 1) * u ** (s + 2) / Fraction(4) ** s
 
 
 def scaling_law_exact(ys: Sequence[Fraction], c: Fraction) -> bool:

@@ -357,9 +357,32 @@ def test_verify_torus_rejected_polynomial_exits_one(capsys):
     assert json.loads(out)["error"] == "rejected"
 
 
-def _exact_companion(P):
-    A = np.zeros((P.degree, P.degree), dtype=object)
-    A[1:, :-1] = np.eye(P.degree - 1, dtype=int)
+@pytest.mark.parametrize(
+    "poly",
+    [
+        *(f"x^2 - 1{'0' * zeros}x + 1" for zeros in (3, 6, 9, 12, 20)),
+        "x^3 - 1000000x^2 - 1",
+        "x^3 - 1000000000x^2 + 3x - 1",
+    ],
+)
+def test_verify_torus_lambda_ladder(poly, capsys):
+    # the frame matrix is exact before it is rounded, so the deck deviation
+    # measures the geometry and not the size of A
+    code, out, err = run_cli(["verify-torus", poly, "--samples", "20"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert all(payload["passes"].values())
+    assert payload["deck_max_rel_deviation"] <= 1e-14
+    code, out, err = run_cli(["build", poly], capsys)
+    assert (code, err) == (0, "")
+    q = payload["q"]
+    identity = [[float(i == j) for j in range(q)] for i in range(q)]
+    assert json.loads(out)["certificate"]["b"] == identity
+
+
+def _int64_companion(P):
+    A = np.zeros((P.degree, P.degree), dtype=np.int64)
+    A[1:, :-1] = np.eye(P.degree - 1, dtype=np.int64)
     A[:, -1] = [-c for c in P.coeffs[:-1]]
     return A
 
@@ -368,16 +391,28 @@ def _exact_companion(P):
 @pytest.mark.parametrize("zeros", [20, 40])
 @pytest.mark.parametrize("exact", [False, True], ids=["int64-companion", "exact-companion"])
 def test_geometry_beyond_float_reach_exits_undecided(verb, zeros, exact, capsys, monkeypatch):
-    # certify accepts X^2 - (10**zeros)X + 1; the float geometry cannot hold it:
-    # the int64 companion overflows, and an exact one leaves solve_b without
-    # eigenvalues on the unit circle
-    if exact:
-        monkeypatch.setattr(geomlab, "companion", _exact_companion)
-    code, out, err = run_cli([verb, f"x^2 - 1{'0' * zeros}x + 1"], capsys)
+    # certify accepts X^3 - (10**zeros)X^2 - 1. The exact companion holds it,
+    # but the center c of the expanding root has 160 fractional bits, so the
+    # residual A*Eu - c*Eu, about P(c) ~ 1e-46 * lambda^2, misses the 1e-8
+    # gate; a fixed-width int64 companion overflows before that
+    if not exact:
+        monkeypatch.setattr(geomlab, "companion", _int64_companion)
+    code, out, err = run_cli([verb, f"x^3 - 1{'0' * zeros}x^2 - 1"], capsys)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"spectorus {verb}: undecided: ")
-    assert ("C long" in err) != exact and ("solve_b" in err) == exact
+    assert ("C long" in err) != exact and ("eigenvector residual" in err) == exact
+
+
+@pytest.mark.parametrize("verb", ["build", "verify-torus"])
+def test_quadratic_with_a_wide_small_enclosure_exits_undecided(verb, capsys):
+    # certify accepts X^2 - 10**40 X + 1, but its enclosures (radius about
+    # 2e-43) are too wide next to 1/lambda = 1e-40 for the residual gate
+    code, out, err = run_cli([verb, f"x^2 - 1{'0' * 40}x + 1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"spectorus {verb}: undecided: ")
+    assert "eigenvector residual" in err
 
 
 # ---------------------------------------------------------------- verify-ot

@@ -1,12 +1,13 @@
 """Mapping-torus construction: companion splitting, invariant form, warped metric."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from spectorus.intpoly import parse_poly
+from spectorus.intpoly import IntPolynomial, parse_poly
 from spectorus.geomlab import (
     build_certificate,
     build_model,
@@ -17,7 +18,6 @@ from spectorus.geomlab import (
     metric_at,
     phi_scaling_identity_exact,
     sectional_curvatures,
-    solve_b,
     split,
     verify_torus_report,
 )
@@ -33,6 +33,8 @@ def test_companion_frozen_matrices():
     assert companion(GOLDEN).tolist() == [[0, -1], [1, 3]]
     assert companion(PLASTIC).tolist() == [[0, 0, 1], [1, 0, 1], [0, 1, 0]]
     assert companion(parse_poly("x - 1")).tolist() == [[1]]
+    # Python ints: no coefficient overflows
+    assert companion(parse_poly(f"x^2 - 1{'0' * 40}x + 1"))[1, 1] == 10**40
 
 
 def test_companion_determinant_is_one():
@@ -67,7 +69,7 @@ def test_charpoly_matches_agrees_with_sympy():
 
 def test_split_golden_directions():
     A = companion(GOLDEN)
-    Eu, Es = split(A, classify(GOLDEN))
+    Eu, Es = split(classify(GOLDEN))
     lam = (3 + 5 ** 0.5) / 2
     assert np.linalg.norm(A.astype(float) @ Eu - lam * Eu) <= 1e-9
     assert Eu.shape == (2,)
@@ -79,7 +81,7 @@ def test_split_golden_directions():
 
 def test_split_plastic_invariance():
     A = companion(PLASTIC).astype(float)
-    Eu, Es = split(companion(PLASTIC), classify(PLASTIC))
+    Eu, Es = split(classify(PLASTIC))
     assert Es.shape == (3, 2)
     # A maps span(Es) into itself: residual of least-squares refit is tiny
     image = A @ Es
@@ -88,13 +90,15 @@ def test_split_plastic_invariance():
     # and Eu is not in that span
     overlap, *_ = np.linalg.lstsq(Es, Eu.reshape(-1, 1), rcond=None)
     assert np.linalg.norm(Eu.reshape(-1, 1) - Es @ overlap) > 0.1
+    # canonical phase: the largest component of the pair's eigenvector is real
+    i = int(np.argmax(np.abs(Es[:, 0] + 1j * Es[:, 1])))
+    assert Es[i, 0] > 0 and Es[i, 1] == 0.0
 
 
 def test_split_deterministic():
-    A = companion(PLASTIC)
     profile = classify(PLASTIC)
-    Eu1, Es1 = split(A, profile)
-    Eu2, Es2 = split(A, profile)
+    Eu1, Es1 = split(profile)
+    Eu2, Es2 = split(profile)
     assert np.array_equal(Eu1, Eu2)
     assert np.array_equal(Es1, Es2)
 
@@ -102,24 +106,12 @@ def test_split_deterministic():
 def test_split_requires_accepted_profile():
     bad = classify(parse_poly("x^2 - x + 1"))
     with pytest.raises(ValueError):
-        split(companion(parse_poly("x^2 - x + 1")), bad)
+        split(bad)
 
 
 # ---------------------------------------------------------------- the form b
 
-def test_solve_b_scalar_case():
-    b = solve_b(np.array([[0.3819660112501051]]), 2.618033988749895)
-    assert b.shape == (1, 1)
-    assert b[0, 0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_solve_b_rotation_already_orthogonal():
-    S = np.array([[0.0, -1.0], [1.0, 0.0]])
-    b = solve_b(S, 1.0)
-    assert np.allclose(b, np.eye(2), atol=1e-12)
-
-
-def test_solve_b_plastic_certificate():
+def test_certificate_form_is_a_fixed_point_for_plastic():
     cert = build_certificate(PLASTIC)
     b = cert.b
     S = cert.lam * np.linalg.lstsq(
@@ -129,11 +121,18 @@ def test_solve_b_plastic_certificate():
     assert np.all(np.linalg.eigvalsh(b) > 0)
     assert np.trace(b) == pytest.approx(cert.q, abs=1e-12)
     assert np.allclose(b, b.T, atol=1e-15)
+    # the exact frame matrix restricts to the same rotation
+    S_exact = cert.lam * cert.M[: cert.q, : cert.q]
+    assert np.linalg.norm(S_exact.T @ S_exact - np.eye(cert.q)) <= 1e-15
 
 
-def test_solve_b_rejects_expanding_restriction():
-    with pytest.raises(ValueError):
-        solve_b(np.array([[2.0]]), 1.0)
+def test_certificate_rejects_expanding_restriction():
+    # lambda doubled: lam*A_s has modulus 2 and cannot be a rotation
+    profile = classify(GOLDEN)
+    lo, hi = profile.lam
+    doctored = dataclasses.replace(profile, lam=(2 * lo, 2 * hi))
+    with pytest.raises(ArithmeticError, match="not a rotation"):
+        build_certificate(GOLDEN, doctored)
 
 
 # ---------------------------------------------------------------- certificate
@@ -155,11 +154,116 @@ def test_certificate_lambda_values():
     assert build_certificate(PLASTIC).lam == pytest.approx(1.1509639253, abs=1e-9)
 
 
+def test_build_rejects_a_profile_of_another_polynomial():
+    # the frame is read off the profile's roots, so they must be P's roots
+    with pytest.raises(ValueError, match="does not match"):
+        build_certificate(GOLDEN, classify(parse_poly("x^2 - 4x + 1")))
+
+
 def test_build_rejects_unaccepted_polynomials():
     with pytest.raises(ValueError):
         build_certificate(parse_poly("x^2 - x + 1"))
     with pytest.raises(ValueError):
         build_model(parse_poly("x^4 - 2x^3 + x^2 - x + 1"))
+
+
+# ---------------------------------------------------------------- float oracle
+# The splitting as eigensolvers build it: numpy eigenvectors, two rounds of
+# inverse iteration, a real basis paired by rounded eigenvalues, and the form b
+# solved from the least-squares restriction. The exact frame must agree.
+
+@pytest.fixture(scope="module")
+def torus_range():
+    """The accepted polynomials of the benchmark's torus ranges, with profiles.
+
+    X^2 - tX + 1 for t in 3..30, and X^3 + aX^2 + bX - 1 for |a|, |b| <= 10.
+    """
+    polys = [parse_poly(f"x^2 - {t}x + 1") for t in range(3, 31)]
+    polys += [
+        IntPolynomial((-1, b, a, 1)) for a in range(-10, 11) for b in range(-10, 11)
+    ]
+    profiles = [(P, classify(P)) for P in polys]
+    accepted = [(P, prof) for P, prof in profiles if prof.accepted]
+    assert len(accepted) == 117
+    return accepted
+
+
+_ORACLE_EIG_TOL = 1e-9
+
+
+def _oracle_canonical_phase(v):
+    i = int(np.argmax(np.abs(v)))
+    piv = v[i]
+    if abs(piv) == 0:
+        return v
+    return v * (abs(piv) / piv)
+
+
+def _oracle_real_basis(w, V, indices):
+    order = sorted(
+        indices, key=lambda k: (round(w[k].real, 12), round(abs(w[k].imag), 12))
+    )
+    cols = []
+    used_pairs = set()
+    for k in order:
+        lam_k = w[k]
+        if abs(lam_k.imag) <= _ORACLE_EIG_TOL:
+            cols.append(np.real(_oracle_canonical_phase(V[:, k])))
+        else:
+            key = complex(round(lam_k.real, 10), round(abs(lam_k.imag), 10))
+            if key in used_pairs:
+                continue
+            used_pairs.add(key)
+            vk = V[:, k] if lam_k.imag > 0 else np.conj(V[:, k])
+            vk = _oracle_canonical_phase(vk)
+            cols.append(np.real(vk))
+            cols.append(np.imag(vk))
+    return np.column_stack(cols)
+
+
+def _oracle_split(A, profile):
+    n = A.shape[0]
+    Af = A.astype(float)
+    big = float(profile.big_root.center.real)
+    w, V = np.linalg.eig(Af)
+    i_big = int(np.argmax(np.abs(w)))
+    Eu = np.real(_oracle_canonical_phase(V[:, i_big]))
+    Eu = Eu / np.linalg.norm(Eu)
+    for _ in range(2):
+        try:
+            Eu = np.linalg.solve(Af - big * np.eye(n), Eu)
+        except np.linalg.LinAlgError:
+            break
+        Eu = Eu / np.linalg.norm(Eu)
+    j = int(np.argmax(np.abs(Eu)))
+    if Eu[j] < 0:
+        Eu = -Eu
+    return Eu, _oracle_real_basis(w, V, [k for k in range(n) if k != i_big])
+
+
+def _oracle_solve_b(A_s, lam):
+    q = A_s.shape[0]
+    S = lam * np.asarray(A_s, dtype=float)
+    w, V = np.linalg.eig(S)
+    assert np.max(np.abs(np.abs(w) - 1.0)) <= 1e-9
+    Tinv = np.linalg.inv(_oracle_real_basis(w, V, range(q)))
+    b = Tinv.T @ Tinv
+    b = b * (q / np.trace(b))
+    return (b + b.T) / 2
+
+
+def test_frame_agrees_with_the_float_oracle(torus_range):
+    for P, prof in torus_range:
+        cert = build_certificate(P, prof)
+        A = companion(P)
+        Eu, Es = _oracle_split(A, prof)
+        A_s, *_ = np.linalg.lstsq(Es, A.astype(float) @ Es, rcond=None)
+        b = _oracle_solve_b(A_s, prof.lambda_float)
+        assert np.max(np.abs(cert.Eu - Eu)) <= 1e-15, P
+        assert np.max(np.abs(cert.Es_basis - Es)) <= 1e-15, P
+        assert np.max(np.abs(cert.b - b)) <= 1e-13, P
+        report = verify_torus_report(P, samples=5, seed=2, profile=prof)
+        assert all(report["passes"].values()), (P, report["passes"])
 
 
 # ---------------------------------------------------------------- metric
