@@ -333,8 +333,8 @@ def check_determinant(point: HyperPoint) -> float:
 def exact_determinant_identity(ys: Sequence[Fraction]) -> bool:
     """det h == (s+1) u^(s+2) / 4^s in exact rational arithmetic."""
     s = len(ys)
-    if s < 1 or s > 3:
-        raise ValueError("exact path supports 1 <= s <= 3")
+    if s < 1:
+        raise ValueError("exact path needs s >= 1")
     ys = [Fraction(y) for y in ys]
     if any(y <= 0 for y in ys):
         raise ValueError("ys must be positive")
@@ -487,8 +487,6 @@ def verify_ot_report(
 
 
 def _rational_tuples(s: int) -> list[tuple[Fraction, ...]]:
-    if s > 3:
-        return []
     base = [Fraction(1), Fraction(1, 2), Fraction(7, 3), Fraction(5, 4)]
     out = []
     for i in range(3):

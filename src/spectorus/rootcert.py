@@ -1,10 +1,12 @@
 """Certified complex root enclosures and exact real-root counting.
 
-Root finding runs in three layers: hardware eigenvalue seeds, Newton polish at
-increasing mpmath precision, and an exact a-posteriori certification step in
-dyadic integer arithmetic. Every returned disk provably contains exactly one
-root. Real-root counts come from integer Sturm chains or Descartes' rule, and
-root counts in a disk from the Schur-Cohn recursion: no floating point.
+Root finding is exact past its seeds. Hardware eigenvalues seed it, or
+mpmath.polyroots when they are missing or coincide; Newton steps then run on
+Gaussian dyadic integers, and an a-posteriori certification step in the same
+integer arithmetic bounds each center. Every returned disk provably contains
+exactly one root. Real-root counts come from integer Sturm chains or
+Descartes' rule, and root counts in a disk from the Schur-Cohn recursion: no
+floating point.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .intpoly import IntPolynomial
 
 DEFAULT_PRECISION_CEILING = 4096
 MIN_PRECISION_BITS = 53  # first rung of the precision ladder: hardware float seeds
+_NEWTON_GUARD_BITS = 20  # Newton runs at scale 2**-(k + 20), rounded once to 2**-k
 
 # numpy (as np) and mpmath load on first use: the exact stages decide most
 # verdicts without them. Both stay module globals, so a replaced alias (the
@@ -291,16 +294,11 @@ class RootEnclosure:
         }
 
 
-def _finite(zs) -> bool:
-    return all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs)
-
-
 def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Eigenvalues of the companion matrix of monic P after two Newton steps;
-    None when a coefficient, a root or a step leaves the float range."""
-    try:  # a coefficient, or P' alone, can leave the float range
+    """Eigenvalues of the companion matrix of monic P; None when a coefficient
+    or a root leaves the float range."""
+    try:
         column = [-float(c) for c in coeffs[:-1]]
-        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
     except OverflowError:
         return None
     np = _lazy("np")
@@ -308,48 +306,13 @@ def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
     companion = np.zeros((n, n))
     companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
     companion[:, -1] = column
-    roots = np.linalg.eigvals(companion).tolist()
-    if not _finite(roots):
-        return None
-
-    def horner(cs, x):
-        v = 0.0 + 0.0j
-        for c in reversed(cs):
-            v = v * x + c
-        return v
-
-    out = []
-    for r in roots:
-        x = complex(r)
-        for _ in range(2):
-            d = horner(der, x)
-            if d == 0:
-                break
-            x -= horner(coeffs, x) / d
-        out.append(x)
-    return out if _finite(out) else None
+    roots = np.linalg.eigvals(companion)
+    return roots.tolist() if np.isfinite(roots).all() else None
 
 
-def _mpmath_polish(coeffs: tuple[int, ...], seeds, prec: int):
-    mpmath = _lazy("mpmath")
-    der = [j * c for j, c in enumerate(coeffs)][1:]
-    desc = list(reversed(coeffs))
-    der_desc = list(reversed(der))
-    out = []
-    with mpmath.workprec(prec + 20):
-        for s in seeds:
-            x = mpmath.mpc(s[0], s[1])
-            for _ in range(4):
-                d = mpmath.polyval(der_desc, x)
-                if d == 0:
-                    break
-                x = x - mpmath.polyval(desc, x) / d
-            out.append(x)
-    return out
-
-
-def _polyroots_seeds(coeffs: tuple[int, ...], prec: int):
-    """Durand-Kerner seeds from mpmath.polyroots, for colliding or missing float seeds.
+def _polyroots_centers(coeffs: tuple[int, ...], prec: int, scale: int):
+    """Durand-Kerner seeds from mpmath.polyroots, for colliding or missing float
+    seeds, as Gaussian integers at scale 2**-scale.
 
     polyroots stops on an absolute error, so the working precision grows by
     the bit size of the Cauchy root bound; cleanup=False keeps tiny parts.
@@ -363,20 +326,53 @@ def _polyroots_seeds(coeffs: tuple[int, ...], prec: int):
             )
         except mpmath.libmp.NoConvergence:
             return None
-        return [(mpmath.re(z), mpmath.im(z)) for z in roots]
+    return [_dyadic_center(z, scale) for z in roots]
 
 
-def _dyadic_center(value, k: int) -> int:
-    if isinstance(value, float):
-        if abs(value) < 1e18 and k <= 512:
-            return round(value * (1 << k))  # power-of-two scaling is exact
-        return round(Fraction(value) * (1 << k))
-    # mpmath mpf: exact binary rational (sign, mantissa, exponent, bit count)
-    sign, man, exp, _ = value._mpf_
-    if man == 0:
-        return 0
-    f = Fraction(-man if sign else man) * Fraction(2) ** exp
-    return round(f * (1 << k))
+def _dyadic_center(z, scale: int) -> tuple[int, int]:
+    """The Gaussian integer nearest z * 2**scale, for a Python or an mpmath complex.
+
+    A float and an mpmath mpf are binary rationals, so the conversion is exact.
+    """
+
+    def part(x) -> int:
+        if isinstance(x, float):
+            num, den = x.as_integer_ratio()
+        else:  # an mpmath mpf: (sign, mantissa, exponent, bit count)
+            sign, man, exp, _ = x._mpf_
+            num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
+        return _nearest(num << scale, den)
+
+    return part(z.real), part(z.imag)
+
+
+def _nearest(num: int, den: int) -> int:
+    """The integer nearest num/den for den > 0; ties round up."""
+    return (2 * num + den) // (2 * den)
+
+
+def _newton(coeffs, der, centers, scale: int, steps: int) -> list[tuple[int, int]]:
+    """Exact Newton steps c <- c - P(c)/P'(c) on Gaussian integers c at scale 2**-scale.
+
+    With P(c) and P'(c) from dyadic_eval the quotient is (vr + vi*i)/(dr + di*i)
+    units of 2**-scale; each step subtracts it rounded to the nearest Gaussian
+    integer, and stops at a zero P'(c) or a zero step.
+    """
+    out = []
+    for a, b in centers:
+        for _ in range(steps):
+            vr, vi, _ = dyadic_eval(coeffs, a, b, scale)
+            dr, di, _ = dyadic_eval(der, a, b, scale)
+            den = dr * dr + di * di
+            if den == 0:
+                break
+            da = _nearest(vr * dr + vi * di, den)
+            db = _nearest(vi * dr - vr * di, den)
+            if not (da or db):
+                break
+            a, b = a - da, b - db
+        out.append((a, b))
+    return out
 
 
 def _certify_stage(
@@ -480,45 +476,34 @@ def isolate_roots(
         )
 
     coeffs = P.coeffs
-    last: tuple[RootEnclosure, ...] = ()
-    centers: list[tuple[int, int]] = []  # those of the previous rung, until replaced
+    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
+    guard = _NEWTON_GUARD_BITS
+    centers: list[tuple[int, int]] = []  # Newton's, at scale 2**-(k + guard)
+    rounded: list[tuple[int, int]] = []  # the same, rounded to 2**-k
+    k = 0
     for prec in _precision_ladder(max_precision_bits):
-        k = prec + 8
-        seeds = _float_seeds(coeffs) if prec == MIN_PRECISION_BITS else None
+        shift, k = prec + 8 - k, prec + 8
+        float_rung = prec == MIN_PRECISION_BITS
+        seeds = _float_seeds(coeffs) if float_rung else None
         if seeds is not None:
-            centers = [
-                (_dyadic_center(z.real, k), _dyadic_center(z.imag, k)) for z in seeds
-            ]
+            centers = [_dyadic_center(z, k + guard) for z in seeds]
         else:
-            mpmath = _lazy("mpmath")
-            seeds_m = None
-            if len(set(centers)) < P.degree:
+            centers = [(a << shift, b << shift) for a, b in centers]
+            if len(set(rounded)) < P.degree:
                 # no float seeds (a coefficient or root beyond the float range),
                 # or equal centers, which Newton never separates (the pair of
                 # X^3 + aX^2 - 1 for a <= -5e15 is seeded as two exact zeros)
-                seeds_m = _polyroots_seeds(coeffs, prec)
-            if seeds_m is None:
-                if not centers:
-                    continue
-                with mpmath.workprec(prec + 20):
-                    den = mpmath.mpf(1 << prev_k)
-                    seeds_m = [
-                        (mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in centers
-                    ]
-            polished = _mpmath_polish(coeffs, seeds_m, prec)
-            with mpmath.workprec(prec + 40):
-                centers = [
-                    (_dyadic_center(z.real, k), _dyadic_center(z.imag, k))
-                    for z in polished
-                ]
-        certified = _certify_stage(coeffs, centers, k, target, _real_count)
+                centers = _polyroots_centers(coeffs, prec, k + guard) or centers
+            if not centers:
+                continue
+        centers = _newton(coeffs, der, centers, k + guard, 2 if float_rung else 4)
+        rounded = [(_nearest(a, 1 << guard), _nearest(b, 1 << guard)) for a, b in centers]
+        certified = _certify_stage(coeffs, rounded, k, target, _real_count)
         if certified is not None:
             return certified
-        prev_k = k
-        last = tuple(
-            RootEnclosure(a, b, k, Fraction(1), undecided=True) for a, b in centers
-        )
     raise PrecisionExhausted(
         f"could not certify roots of {P.render()} below {max_precision_bits} bits",
-        enclosures=last,
+        enclosures=tuple(
+            RootEnclosure(a, b, k, Fraction(1), undecided=True) for a, b in rounded
+        ),
     )

@@ -85,8 +85,11 @@ def test_cold_certify_past_the_counts_loads_no_heavy_module(argv, code):
 
 
 def test_cold_certify_of_an_accepted_cubic_loads_numpy_and_mpmath_only():
-    # the conjugate pair is isolated: float seeds, then mpmath polish
-    assert _cold_cli("certify", "x^3 - 2x^2 - 1") == {"exit": 0, "loaded": ["mpmath", "numpy"]}
+    # the conjugate pair is isolated: float seeds, then exact Newton steps
+    assert _cold_cli("certify", "x^3 - 2x^2 - 1") == {"exit": 0, "loaded": ["numpy"]}
+    # the float seeds of this pair coincide, so mpmath.polyroots re-seeds it
+    kept_fault = "x^3 - 10000000000000000x^2 - 1"
+    assert _cold_cli("certify", kept_fault) == {"exit": 0, "loaded": ["mpmath", "numpy"]}
 
 
 def test_cold_factor_loads_no_heavy_module():
@@ -162,7 +165,9 @@ def test_root_finding_reads_numpy_and_mpmath_through_the_module_aliases(monkeypa
 
     eigvals = counting("eigvals", numpy.linalg.eigvals)
     monkeypatch.setattr(rootcert, "np", _Alias(numpy, linalg=_Alias(numpy.linalg, eigvals=eigvals)))
-    monkeypatch.setattr(rootcert, "mpmath", _Alias(mpmath, polyval=counting("polyval", mpmath.polyval)))
-    rootcert.isolate_roots(parse_poly("x^3 - 2x^2 - 1"), Fraction(1, 10**24))
-    assert calls["eigvals"] == 1
-    assert calls["polyval"] > 0
+    monkeypatch.setattr(
+        rootcert, "mpmath", _Alias(mpmath, polyroots=counting("polyroots", mpmath.polyroots))
+    )
+    # the float seeds of the pair coincide: polyroots re-seeds the next rung
+    rootcert.isolate_roots(parse_poly("x^3 - 10000000000000000x^2 - 1"), Fraction(1, 10**24))
+    assert calls == {"eigvals": 1, "polyroots": 1}

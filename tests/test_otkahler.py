@@ -165,6 +165,22 @@ def test_determinant_identity_exact_rationals():
     assert exact_determinant_identity((Fraction(2, 3), Fraction(5, 4), Fraction(7)))
 
 
+def test_determinant_identity_exact_beyond_three_factors(monkeypatch):
+    ys = (Fraction(1), Fraction(1, 2), Fraction(7, 3), Fraction(5, 4))
+    assert exact_determinant_identity(ys)
+    seen = []
+
+    def spy(ys):
+        seen.append(len(ys))
+        return exact_determinant_identity(ys)
+
+    monkeypatch.setattr(otkahler, "exact_determinant_identity", spy)
+    report = verify_ot_report(4, samples=2, seed=0)
+    assert seen == [4, 4, 4]
+    assert report["exact_determinant_identity"] is True
+    assert report["exact_scaling_law"] is True
+
+
 def test_scaling_law_exact():
     assert scaling_law_exact((Fraction(1), Fraction(2)), Fraction(3))
     assert scaling_law_exact((Fraction(1, 3),), Fraction(5, 2))

@@ -37,6 +37,7 @@ from spectorus.rootcert import (
     variations_at,
     variations_at_infinity,
 )
+from spectorus.spectra import classify
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
@@ -489,22 +490,22 @@ def test_isolation_without_float_seeds_starts_from_polyroots(monkeypatch):
     P = parse_poly("x^5 - x^4 - 1")
     target = Fraction(1, 10**12)
     want = isolate_roots(P, target)
-    polyroots = rootcert._polyroots_seeds
+    polyroots = rootcert._polyroots_centers
     rungs = []
 
-    def recording(coeffs, prec):
+    def recording(coeffs, prec, scale):
         rungs.append(prec)
-        return polyroots(coeffs, prec)
+        return polyroots(coeffs, prec, scale)
 
     monkeypatch.setattr(rootcert, "_float_seeds", lambda coeffs: None)
-    monkeypatch.setattr(rootcert, "_polyroots_seeds", recording)
+    monkeypatch.setattr(rootcert, "_polyroots_centers", recording)
     got = isolate_roots(P, target)
     assert rungs == [MIN_PRECISION_BITS]
     assert [e.is_real_certified for e in got] == [e.is_real_certified for e in want]
     for e, w in zip(got, want):
         gap = abs(e.center - w.center)
         assert gap <= float(e.radius + w.radius)
-    monkeypatch.setattr(rootcert, "_polyroots_seeds", lambda coeffs, prec: None)
+    monkeypatch.setattr(rootcert, "_polyroots_centers", lambda coeffs, prec, scale: None)
     with pytest.raises(PrecisionExhausted) as exc:
         isolate_roots(P, target)
     assert exc.value.enclosures == ()
@@ -512,12 +513,13 @@ def test_isolation_without_float_seeds_starts_from_polyroots(monkeypatch):
 
 def test_float_seeds_beyond_the_float_range_are_none():
     assert rootcert._float_seeds((-1, 0, -(10**400), 1)) is None  # a coefficient
+    # the eigenvalues fit a double; the Newton steps on them are exact, so P(c)
+    # beyond the float range no longer costs the float rung its seeds
     big = -int("7" * 150)
-    # the eigenvalues fit a double, the Newton steps on them do not
-    assert np.isfinite(np.roots([1, big, 0, 1, 0, -1])).all()
-    assert rootcert._float_seeds((-1, 0, 1, 0, big, 1)) is None
-    # P fits a double, P' does not
-    assert rootcert._float_seeds((-1, 0, 1, 0, -int("7" * 308), 1)) is None
+    seeds = rootcert._float_seeds((-1, 0, 1, 0, big, 1))
+    assert seeds is not None and len(seeds) == 5
+    assert np.isfinite(seeds).all()
+    assert max(abs(z) for z in seeds) == pytest.approx(-big, rel=1e-12)
 
 
 def test_enclosure_json_shape():
@@ -567,7 +569,150 @@ def test_sturm_count_agrees_with_certified_enclosures():
 
 
 def test_enclosures_tighten_with_target():
+    # 1e-6 certifies on the float rung (k = 61), 1e-30 needs the next (k = 128)
     coarse = isolate_roots(PLASTIC, Fraction(1, 10**6))
-    fine = isolate_roots(PLASTIC, Fraction(1, 10**18))
+    fine = isolate_roots(PLASTIC, Fraction(1, 10**30))
+    assert {e.k for e in coarse} == {MIN_PRECISION_BITS + 8}
+    assert {e.k for e in fine} == {128}
     assert max(e.radius for e in fine) < max(e.radius for e in coarse)
-    assert max(e.radius for e in fine) <= Fraction(1, 10**18)
+    assert max(e.radius for e in fine) <= Fraction(1, 10**30)
+
+
+# ------------------------------------------------- float and mpmath Newton oracle
+
+# The isolation that the exact Newton steps replaced, kept as a named oracle:
+# eigenvalue seeds after two hardware Newton steps, four mpmath Newton steps
+# per later rung, mpmath.polyroots for missing or coinciding seeds, and the
+# same certify stage at the same scale 2**-k.
+
+def _oracle_float_seeds(coeffs):
+    try:
+        column = [-float(c) for c in coeffs[:-1]]
+        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
+    except OverflowError:
+        return None
+    n = len(coeffs) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n :: n + 1] = 1.0
+    companion[:, -1] = column
+    roots = np.linalg.eigvals(companion).tolist()
+    if not np.isfinite(roots).all():
+        return None
+
+    def horner(cs, x):
+        v = 0.0 + 0.0j
+        for c in reversed(cs):
+            v = v * x + c
+        return v
+
+    out = []
+    for r in roots:
+        x = complex(r)
+        for _ in range(2):
+            d = horner(der, x)
+            if d == 0:
+                break
+            x -= horner(coeffs, x) / d
+        out.append(x)
+    return out if np.isfinite(out).all() else None
+
+
+def _oracle_mpmath_polish(coeffs, seeds, prec):
+    der_desc = [j * c for j, c in enumerate(coeffs)][:0:-1]
+    desc = list(reversed(coeffs))
+    out = []
+    with mpmath.workprec(prec + 20):
+        for s in seeds:
+            x = mpmath.mpc(s[0], s[1])
+            for _ in range(4):
+                d = mpmath.polyval(der_desc, x)
+                if d == 0:
+                    break
+                x = x - mpmath.polyval(desc, x) / d
+            out.append(x)
+    return out
+
+
+def _oracle_polyroots_seeds(coeffs, prec):
+    extra = (1 + max(abs(c) for c in coeffs)).bit_length() + 20
+    with mpmath.workprec(prec + 20):
+        try:
+            roots = mpmath.polyroots(
+                list(reversed(coeffs)), maxsteps=200, cleanup=False, extraprec=extra
+            )
+        except mpmath.libmp.NoConvergence:
+            return None
+        return [(mpmath.re(z), mpmath.im(z)) for z in roots]
+
+
+def _oracle_dyadic_center(value, k):
+    if isinstance(value, float):
+        return round(Fraction(value) * (1 << k))
+    sign, man, exp, _ = value._mpf_
+    return round(Fraction(-man if sign else man) * Fraction(2) ** exp * (1 << k))
+
+
+def _oracle_isolate(P, target, real_count, ceiling=rootcert.DEFAULT_PRECISION_CEILING):
+    coeffs = P.coeffs
+    centers, prev_k = [], None
+    for prec in rootcert._precision_ladder(ceiling):
+        k = prec + 8
+        seeds = _oracle_float_seeds(coeffs) if prec == MIN_PRECISION_BITS else None
+        if seeds is not None:
+            centers = [
+                (_oracle_dyadic_center(z.real, k), _oracle_dyadic_center(z.imag, k))
+                for z in seeds
+            ]
+        else:
+            seeds_m = None
+            if len(set(centers)) < P.degree:
+                seeds_m = _oracle_polyroots_seeds(coeffs, prec)
+            if seeds_m is None:
+                if not centers:
+                    continue
+                with mpmath.workprec(prec + 20):
+                    den = mpmath.mpf(1 << prev_k)
+                    seeds_m = [(mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in centers]
+            polished = _oracle_mpmath_polish(coeffs, seeds_m, prec)
+            centers = [
+                (_oracle_dyadic_center(z.real, k), _oracle_dyadic_center(z.imag, k))
+                for z in polished
+            ]
+        certified = rootcert._certify_stage(coeffs, centers, k, target, real_count)
+        if certified is not None:
+            return certified
+        prev_k = k
+    return None
+
+
+def _accepted_cubics(bound, **flags):
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            P = IntPolynomial((-1, b, a, 1))
+            profile = classify(P, **flags)
+            if profile.accepted:
+                yield P, profile
+
+
+KEPT_FAULT_CUBICS = [
+    IntPolynomial((-1, 0, a, 1)) for a in (-(10**16), -3 * 10**16, -(10**18), -(10**24))
+]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: _accepted_cubics(10), id="det-one-bound-10"),
+        pytest.param(lambda: ((P, classify(P)) for P in KEPT_FAULT_CUBICS), id="kept-faults"),
+        pytest.param(lambda: _accepted_cubics(6, force_interval=True), id="force-interval-bound-6"),
+    ],
+)
+def test_accepted_pairs_match_the_float_and_mpmath_oracle(cases):
+    seen = 0
+    for P, profile in cases():
+        assert profile.accepted and profile.q == 2
+        want = _oracle_isolate(P, Fraction(1, 10**24), 1)
+        assert want is not None
+        assert profile.small_roots == tuple(e for e in want if not e.is_real_certified)
+        seen += 1
+    assert seen >= 4
