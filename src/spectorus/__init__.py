@@ -6,7 +6,7 @@ mapping-torus metric verification, and the upper-half-space Kähler formula
 suite, all fronted by the `spectorus` command line tool.
 
 The public names below load with their submodule on first access (PEP 562),
-so importing the package imports no submodule, and numpy, mpmath and
+so importing the package imports no submodule, and numpy and
 multiprocessing wait until a verb reaches the code that needs them.
 """
 from __future__ import annotations

@@ -12,7 +12,7 @@ import os
 import sys
 
 # only the exact layers load here; each verb imports the rest of what it
-# reaches, so a cold certify never loads numpy or mpmath before it needs them
+# reaches, so a cold certify never loads numpy before it needs it
 from .intpoly import IntPolynomial, PolyParseError, factor_oracle, parse_poly
 from .rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
 from .spectra import (
@@ -169,27 +169,34 @@ def _cmd_search(parser: _Parser, args) -> int:
     return EXIT_UNDECIDED if report.undecided else EXIT_OK
 
 
-def _cmd_certify(parser: _Parser, args) -> int:
-    P = _parse_poly_arg(parser, args.poly)
+def _classify(parser: _Parser, P: IntPolynomial, flag: int | None = None, **flags):
+    """classify(P) at the precision ceiling; a bad ceiling is a usage error, and
+    so is a lambda past the float range, as the reports carry it as a double."""
     try:
-        prof = classify(
-            P,
-            allow_gl=args.gl,
-            force_interval=args.force_interval,
-            max_precision_bits=_max_precision_bits(args.max_precision_bits),
-        )
+        prof = classify(P, max_precision_bits=_max_precision_bits(flag), **flags)
     except ValueError as exc:
         parser.error(str(exc))
+    try:
+        prof.lambda_float  # noqa: B018
+    except OverflowError:
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: lambda is beyond the float range\n")
+    return prof
+
+
+def _cmd_certify(parser: _Parser, args) -> int:
+    P = _parse_poly_arg(parser, args.poly)
+    prof = _classify(
+        parser, P, args.max_precision_bits, allow_gl=args.gl, force_interval=args.force_interval
+    )
     _emit(_dump(prof.to_json()), args.output)
     return _VERDICT_EXIT.get(prof.certification, EXIT_OK)
 
 
 def _cmd_replay(parser: _Parser, args) -> int:
     P = _parse_poly_arg(parser, args.poly)
+    prof = _classify(parser, P)
     try:
-        prof = classify(P, max_precision_bits=_max_precision_bits())
-        q = prof.q
-        report = replay_case_even(P, prof) if q % 2 == 0 else replay_case_odd(P, prof)
+        report = replay_case_even(P, prof) if prof.q % 2 == 0 else replay_case_odd(P, prof)
     except ValueError as exc:
         parser.error(str(exc))
     payload = {"profile": prof.to_json(), "replay": report.to_json()}
@@ -204,10 +211,7 @@ def _classify_accepted(parser: _Parser, args):
     the exit code is that of the verdict; otherwise it is EXIT_OK.
     """
     P = _parse_poly_arg(parser, args.poly)
-    try:
-        prof = classify(P, max_precision_bits=_max_precision_bits())
-    except ValueError as exc:
-        parser.error(str(exc))
+    prof = _classify(parser, P)
     code = _VERDICT_EXIT.get(prof.certification, EXIT_OK)
     if code != EXIT_OK:
         error = "rejected" if code == EXIT_REJECTED else "undecided"

@@ -216,7 +216,8 @@ def build_certificate(
     """Full pipeline: classify, companion, the frame from the roots, F^-1 A F.
 
     The residuals are gates: lam*A_s must be orthogonal within 1e-10 and Eu
-    an eigenvector within 1e-8, or ArithmeticError is raised.
+    an eigenvector within 1e-8, or ArithmeticError is raised, as it is when
+    lambda**(2q+2) leaves the float range.
     """
     if profile is None:
         profile = classify(P)
@@ -224,14 +225,17 @@ def build_certificate(
         raise ValueError("profile does not match the polynomial")
     if not profile.accepted:
         raise ValueError(f"polynomial not accepted: {profile.reason}")
+    q = profile.q
+    lam = profile.lambda_float
+    # the deck map scales phi(t) = t**(2q+2) by lam**-(2q+2); frame entries reach lam**q
+    if (2 * q + 2) * math.log2(lam) > 1000:
+        raise ArithmeticError(f"lambda**{2 * q + 2} leaves the float range")
     A = companion(P)
     if not charpoly_matches(A, P):
         raise AssertionError("companion characteristic polynomial mismatch")
     frame = _exact_frame(profile)
     Eu, Es = _unit_frame(frame)
     M = _frame_matrix(A, [col for block in frame for col in block])
-    q = profile.q
-    lam = profile.lambda_float
     b = np.eye(q)
     S = lam * M[:q, :q]
     res_orth = float(np.linalg.norm(S.T @ b @ S - b))

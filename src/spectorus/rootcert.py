@@ -1,7 +1,8 @@
 """Certified complex root enclosures and exact real-root counting.
 
-Root finding is exact past its seeds. Hardware eigenvalues seed it, or
-mpmath.polyroots when they are missing or coincide; Newton steps then run on
+Root finding is exact past its seeds. Hardware eigenvalues of the companion
+matrix seed it, and those of its reversal seed the roots far below the
+largest, so each seed has a small relative error; Newton steps then run on
 Gaussian dyadic integers, and an a-posteriori certification step in the same
 integer arithmetic bounds each center. Every returned disk provably contains
 exactly one root. Real-root counts come from integer Sturm chains or
@@ -24,9 +25,10 @@ DEFAULT_PRECISION_CEILING = 4096
 MIN_PRECISION_BITS = 53  # first rung of the precision ladder: hardware float seeds
 _NEWTON_GUARD_BITS = 20  # Newton runs at scale 2**-(k + 20), rounded once to 2**-k
 
-# numpy (as np) and mpmath load on first use: the exact stages decide most
-# verdicts without them. Both stay module globals, so a replaced alias (the
-# benchmark tracer's proxy) is what every call here reads.
+# numpy (as np) loads on first use: the exact stages decide most verdicts
+# without it. It stays a module global, so a replaced alias (the benchmark
+# tracer's proxy) is what every call here reads. Nothing here calls mpmath;
+# its alias stays only because perfbench/tracer.py proxies rootcert.mpmath.
 _LAZY_MODULES = {"np": "numpy", "mpmath": "mpmath"}
 
 
@@ -35,11 +37,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = globals()[name] = importlib.import_module(_LAZY_MODULES[name])
     return module
-
-
-def _lazy(name: str):
-    """The module global np or mpmath, imported on first use."""
-    return globals().get(name) or __getattr__(name)
 
 
 class NotSquarefree(ValueError):
@@ -294,56 +291,46 @@ class RootEnclosure:
         }
 
 
-def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Eigenvalues of the companion matrix of monic P; None when a coefficient
-    or a root leaves the float range."""
-    try:
-        column = [-float(c) for c in coeffs[:-1]]
-    except OverflowError:
-        return None
-    np = _lazy("np")
-    n = len(coeffs) - 1
+def _eigvals(column: list[float]) -> list[complex]:
+    """Eigenvalues of the companion matrix with last column `column`, all finite."""
+    np = globals().get("np") or __getattr__("np")
+    n = len(column)
     companion = np.zeros((n, n))
     companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
     companion[:, -1] = column
     roots = np.linalg.eigvals(companion)
-    return roots.tolist() if np.isfinite(roots).all() else None
+    if not np.isfinite(roots).all():
+        raise OverflowError("an eigenvalue leaves the float range")
+    return roots.tolist()
 
 
-def _polyroots_centers(coeffs: tuple[int, ...], prec: int, scale: int):
-    """Durand-Kerner seeds from mpmath.polyroots, for colliding or missing float
-    seeds, as Gaussian integers at scale 2**-scale.
+def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Roots of monic P, each with a small relative error; None when a
+    coefficient or a root leaves the float range.
 
-    polyroots stops on an absolute error, so the working precision grows by
-    the bit size of the Cauchy root bound; cleanup=False keeps tiny parts.
+    Companion eigenvalues are accurate to about 2**-52 times the largest root
+    (Edelman and Murakami, Math. Comp. 64, 1995), so a much smaller root comes
+    out as noise. Each root below 2**-26 times the largest is replaced by the
+    reciprocal of one of the largest eigenvalues of the reversal X**n * P(1/X),
+    whose roots are the reciprocals of P's roots.
     """
-    mpmath = _lazy("mpmath")
-    extra = (1 + max(abs(c) for c in coeffs)).bit_length() + 20
-    with mpmath.workprec(prec + 20):
-        try:
-            roots = mpmath.polyroots(
-                list(reversed(coeffs)), maxsteps=200, cleanup=False, extraprec=extra
-            )
-        except mpmath.libmp.NoConvergence:
-            return None
-    return [_dyadic_center(z, scale) for z in roots]
+    try:
+        roots = _eigvals([-float(c) for c in coeffs[:-1]])
+        floor = max(map(abs, roots)) * 2.0**-26
+        small = [i for i, z in enumerate(roots) if abs(z) < floor]
+        if small and coeffs[0]:
+            reversal = _eigvals([-c / coeffs[0] for c in coeffs[:0:-1]])
+            for i, w in zip(small, sorted(reversal, key=abs, reverse=True)):
+                roots[i] = 1 / w
+    except OverflowError:
+        return None
+    return roots
 
 
-def _dyadic_center(z, scale: int) -> tuple[int, int]:
-    """The Gaussian integer nearest z * 2**scale, for a Python or an mpmath complex.
-
-    A float and an mpmath mpf are binary rationals, so the conversion is exact.
-    """
-
-    def part(x) -> int:
-        if isinstance(x, float):
-            num, den = x.as_integer_ratio()
-        else:  # an mpmath mpf: (sign, mantissa, exponent, bit count)
-            sign, man, exp, _ = x._mpf_
-            num, den = (-man if sign else man) << max(exp, 0), 1 << max(-exp, 0)
-        return _nearest(num << scale, den)
-
-    return part(z.real), part(z.imag)
+def _dyadic_center(z: complex, scale: int) -> tuple[int, int]:
+    """The Gaussian integer nearest z * 2**scale, exactly: a float is a binary rational."""
+    (re_num, re_den), (im_num, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    return _nearest(re_num << scale, re_den), _nearest(im_num << scale, im_den)
 
 
 def _nearest(num: int, den: int) -> int:
@@ -454,8 +441,10 @@ def isolate_roots(
 
     The disk radius is the a-posteriori bound deg(P)*|P(c)|/|P'(c)| evaluated
     exactly at a dyadic center c; disjointness then pins exactly one root per
-    disk. Precision escalates until every radius is below target_radius, or
-    PrecisionExhausted is raised with the last (undecided) enclosures.
+    disk. Exact Newton steps refine the float seeds, and precision escalates
+    until every radius is below target_radius, or PrecisionExhausted is
+    raised with the last (undecided) enclosures; without float seeds (a
+    coefficient or a root past the float range) it is raised at once, with none.
     _real_count is the exact real-root count of a P already proven
     squarefree; without it count_real_roots proves both here.
     """
@@ -476,6 +465,11 @@ def isolate_roots(
         )
 
     coeffs = P.coeffs
+    seeds = _float_seeds(coeffs)
+    if seeds is None:
+        raise PrecisionExhausted(
+            f"no float seeds: a coefficient or a root of {P.render()} is past the float range"
+        )
     der = tuple(j * c for j, c in enumerate(coeffs))[1:]
     guard = _NEWTON_GUARD_BITS
     centers: list[tuple[int, int]] = []  # Newton's, at scale 2**-(k + guard)
@@ -483,20 +477,14 @@ def isolate_roots(
     k = 0
     for prec in _precision_ladder(max_precision_bits):
         shift, k = prec + 8 - k, prec + 8
-        float_rung = prec == MIN_PRECISION_BITS
-        seeds = _float_seeds(coeffs) if float_rung else None
-        if seeds is not None:
+        if len(set(rounded)) < P.degree:
+            # the float rung, or equal centers (a tiny root and its conjugate on
+            # a coarse rung), which Newton never separates: the seeds, rescaled
             centers = [_dyadic_center(z, k + guard) for z in seeds]
         else:
             centers = [(a << shift, b << shift) for a, b in centers]
-            if len(set(rounded)) < P.degree:
-                # no float seeds (a coefficient or root beyond the float range),
-                # or equal centers, which Newton never separates (the pair of
-                # X^3 + aX^2 - 1 for a <= -5e15 is seeded as two exact zeros)
-                centers = _polyroots_centers(coeffs, prec, k + guard) or centers
-            if not centers:
-                continue
-        centers = _newton(coeffs, der, centers, k + guard, 2 if float_rung else 4)
+        steps = 2 if prec == MIN_PRECISION_BITS else 4
+        centers = _newton(coeffs, der, centers, k + guard, steps)
         rounded = [(_nearest(a, 1 << guard), _nearest(b, 1 << guard)) for a, b in centers]
         certified = _certify_stage(coeffs, rounded, k, target, _real_count)
         if certified is not None:

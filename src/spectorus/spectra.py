@@ -134,12 +134,19 @@ def _rejected(P: IntPolynomial, q: int, reason: str, detail: str | None = None):
     return SpectralProfile(P, q, REJECTED, reason=reason, detail=detail)
 
 
-def _real_enclosure(lo: Fraction, hi: Fraction, bits: int = 160) -> RootEnclosure:
+def _real_enclosure(lo: Fraction, hi: Fraction, bits: int) -> RootEnclosure:
     """Enclosure for a real root known to lie in [lo, hi]."""
     a = round((lo + hi) / 2 * (1 << bits))
     c = Fraction(a, 1 << bits)
     rad = max(hi - c, c - lo, Fraction(0))
     return RootEnclosure(a, 0, bits, rad, is_real_certified=True)
+
+
+def _extra_bits(bound: int) -> int:
+    """Bits the enclosures need past their base widths (140 to 160), for roots
+    bounded by `bound`: roots of modulus 1/lambda and the residual P(c) ~
+    |c - root| * lambda**2 at a center c need about two more per bit of lambda."""
+    return max(0, 2 * bound.bit_length() - 40)
 
 
 def _accepted(
@@ -152,23 +159,24 @@ def _accepted(
     q = 1: X**2 - t*X + c0 with c0 = +-1 and lambda = (t + sqrt(t**2 - 4*c0))/2.
     q = 2: X**3 + a*X**2 + b*X - 1 with one real root alpha > 1 and a pair of
     modulus 1/lambda, lambda = sqrt(alpha). The enclosures of the pair need
-    isolation within max_precision_bits; past it the verdict is Undecided /
-    precision_ceiling.
+    isolation within max_precision_bits; past it, or without float seeds for
+    it, the verdict is Undecided / precision_ceiling.
     """
+    bound = 1 + max(abs(c) for c in P.coeffs)  # Cauchy's bound on every root
+    extra = _extra_bits(bound)
     if P.degree == 2:
         c0, t = P.coeffs[0], -P.coeffs[1]
-        s_lo, s_hi = sqrt_bounds(Fraction(t * t - 4 * c0), 140)
+        s_lo, s_hi = sqrt_bounds(Fraction(t * t - 4 * c0), 140 + extra)
         lam = (t + s_lo) / 2, (t + s_hi) / 2
-        big = _real_enclosure(lam[0], lam[1])
-        small = _real_enclosure((t - s_hi) / 2, (t - s_lo) / 2)
+        big = _real_enclosure(lam[0], lam[1], 160 + extra)
+        small = _real_enclosure((t - s_hi) / 2, (t - s_lo) / 2, 160 + extra)
         return SpectralProfile(
             P, 1, certification, lam=lam, big_root=big, small_roots=(small,)
         )
-    # alpha = unique real root in (1, 1 + max|coeff|); lambda = sqrt(alpha)
-    bound = 1 + max(abs(c) for c in P.coeffs)
-    a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150)
+    # alpha = unique real root in (1, bound); lambda = sqrt(alpha)
+    a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150 + extra)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
-    big = _real_enclosure(a_lo, a_hi)
+    big = _real_enclosure(a_lo, a_hi, 160 + extra)
     # disc < 0 proves P squarefree with one real root: no second Sturm chain
     try:
         encl = isolate_roots(

@@ -12,6 +12,7 @@ import pytest
 import spectorus.cli as cli
 import spectorus.geomlab as geomlab
 import spectorus.searchkit as searchkit
+import spectorus.spectra as spectra
 from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
 from spectorus.rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
@@ -360,14 +361,16 @@ def test_verify_torus_rejected_polynomial_exits_one(capsys):
 @pytest.mark.parametrize(
     "poly",
     [
-        *(f"x^2 - 1{'0' * zeros}x + 1" for zeros in (3, 6, 9, 12, 20)),
+        *(f"x^2 - 1{'0' * zeros}x + 1" for zeros in (3, 6, 9, 12, 20, 40)),
         "x^3 - 1000000x^2 - 1",
         "x^3 - 1000000000x^2 + 3x - 1",
+        *(f"x^3 - 1{'0' * zeros}x^2 - 1" for zeros in (20, 40)),
     ],
 )
 def test_verify_torus_lambda_ladder(poly, capsys):
     # the frame matrix is exact before it is rounded, so the deck deviation
-    # measures the geometry and not the size of A
+    # measures the geometry and not the size of A; the enclosures' bits grow
+    # with the coefficients, so the residual gates hold at lambda = 1e20
     code, out, err = run_cli(["verify-torus", poly, "--samples", "20"], capsys)
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -391,11 +394,14 @@ def _int64_companion(P):
 @pytest.mark.parametrize("zeros", [20, 40])
 @pytest.mark.parametrize("exact", [False, True], ids=["int64-companion", "exact-companion"])
 def test_geometry_beyond_float_reach_exits_undecided(verb, zeros, exact, capsys, monkeypatch):
-    # certify accepts X^3 - (10**zeros)X^2 - 1. The exact companion holds it,
-    # but the center c of the expanding root has 160 fractional bits, so the
-    # residual A*Eu - c*Eu, about P(c) ~ 1e-46 * lambda^2, misses the 1e-8
-    # gate; a fixed-width int64 companion overflows before that
-    if not exact:
+    # certify accepts X^3 - (10**zeros)X^2 - 1. A fixed-width int64 companion
+    # overflows; the exact companion holds it, and with enclosures of fixed
+    # width (no bits that grow with the coefficients) the center c of the
+    # expanding root is too coarse: the residual A*Eu - c*Eu, about
+    # P(c) ~ 1e-46 * lambda^2, misses the 1e-8 gate
+    if exact:
+        monkeypatch.setattr(spectra, "_extra_bits", lambda bound: 0)
+    else:
         monkeypatch.setattr(geomlab, "companion", _int64_companion)
     code, out, err = run_cli([verb, f"x^3 - 1{'0' * zeros}x^2 - 1"], capsys)
     assert (code, out) == (2, "")
@@ -405,14 +411,47 @@ def test_geometry_beyond_float_reach_exits_undecided(verb, zeros, exact, capsys,
 
 
 @pytest.mark.parametrize("verb", ["build", "verify-torus"])
-def test_quadratic_with_a_wide_small_enclosure_exits_undecided(verb, capsys):
-    # certify accepts X^2 - 10**40 X + 1, but its enclosures (radius about
-    # 2e-43) are too wide next to 1/lambda = 1e-40 for the residual gate
+def test_quadratic_with_a_wide_small_enclosure_exits_undecided(verb, capsys, monkeypatch):
+    # certify accepts X^2 - 10**40 X + 1; with enclosures of fixed width
+    # (radius about 2e-43) the small one is too wide next to 1/lambda = 1e-40
+    # for the residual gate
+    monkeypatch.setattr(spectra, "_extra_bits", lambda bound: 0)
     code, out, err = run_cli([verb, f"x^2 - 1{'0' * 40}x + 1"], capsys)
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"spectorus {verb}: undecided: ")
     assert "eigenvector residual" in err
+
+
+@pytest.mark.parametrize("verb", ["build", "verify-torus"])
+@pytest.mark.parametrize("sevens", [150, 200])
+def test_geometry_past_the_float_range_of_lambda_powers_exits_undecided(verb, sevens, capsys):
+    # certify accepts X^3 - SX^2 - 1, but phi(t/lambda) = (t/lambda)**6 in
+    # the deck map would underflow, and the frame's norms would overflow
+    code, out, err = run_cli([verb, f"x^3 - {'7' * sevens}x^2 - 1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"spectorus {verb}: undecided: the float geometry failed: lambda**6 leaves the float range\n"
+
+
+HUGE_LAMBDA = f"x^2 - 1{'0' * 400}x"  # lambda about 1e400, past the largest double
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", f"{HUGE_LAMBDA} + 1"],
+        ["certify", f"{HUGE_LAMBDA} - 1", "--gl"],
+        ["replay", f"{HUGE_LAMBDA} + 1"],
+        ["build", f"{HUGE_LAMBDA} + 1"],
+        ["verify-torus", f"{HUGE_LAMBDA} + 1"],
+    ],
+    ids=["certify", "certify-gl", "replay", "build", "verify-torus"],
+)
+def test_lambda_beyond_the_float_range_is_a_usage_error(argv, capsys):
+    # the reports carry lambda as a double; exit 1 would claim a rejection
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == f"spectorus {argv[0]}: error: lambda is beyond the float range\n"
 
 
 # ---------------------------------------------------------------- verify-ot
@@ -549,9 +588,13 @@ def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("a", ["10000000000000000", "1000000000000000000000000"])
+@pytest.mark.parametrize(
+    "a",
+    ["10000000000000000", "1000000000000000000000000", pytest.param("7" * 200, id="200-sevens")],
+)
 def test_certify_cubic_with_coincident_float_seeds_is_accepted(a, capsys):
-    # eigvals seeds the conjugate pair of this cubic as two exact zeros
+    # the companion eigenvalues give the conjugate pair of this cubic as two
+    # exact zeros; the reversal's eigenvalues seed it
     code, out, _ = run_cli(["certify", f"x^3 - {a}x^2 - 1"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -566,7 +609,7 @@ BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
 @pytest.mark.parametrize(
     "argv, verdicts",
     [
-        (["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"], {"ExactQ2", "Undecided"}),
+        (["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"], {"Undecided"}),
         (["certify", f"x^5 - {BEYOND_FLOATS}x^4 + x^2 - 1"], {"Rejected", "Undecided"}),
         (["certify", f"x^4 - {BEYOND_FLOATS}x^3 + x^2 - 1", "--gl"], {"Rejected"}),
         # coefficients that fit a double but float roots that do not
@@ -576,8 +619,8 @@ BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
     ids=["q2-accepted", "degree-5", "gl-quartic", "float-roots-overflow"],
 )
 def test_certify_beyond_the_float_range_ends_in_a_verdict(argv, verdicts, capsys):
-    # the cubic's isolation starts from mpmath.polyroots without float
-    # seeds; degree >= 4 needs no float roots
+    # the cubic's pair isolation has no float seeds and stops at once;
+    # degree >= 4 needs no float roots
     code, out, err = run_cli(argv, capsys)
     assert err == ""
     payload = json.loads(out)

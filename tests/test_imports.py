@@ -84,12 +84,26 @@ def test_cold_certify_past_the_counts_loads_no_heavy_module(argv, code):
     assert _cold_cli("certify", *argv) == {"exit": code, "loaded": []}
 
 
-def test_cold_certify_of_an_accepted_cubic_loads_numpy_and_mpmath_only():
-    # the conjugate pair is isolated: float seeds, then exact Newton steps
-    assert _cold_cli("certify", "x^3 - 2x^2 - 1") == {"exit": 0, "loaded": ["numpy"]}
-    # the float seeds of this pair coincide, so mpmath.polyroots re-seeds it
-    kept_fault = "x^3 - 10000000000000000x^2 - 1"
-    assert _cold_cli("certify", kept_fault) == {"exit": 0, "loaded": ["mpmath", "numpy"]}
+def test_cold_certify_of_an_accepted_cubic_loads_numpy_only():
+    # the conjugate pair is isolated: float seeds, then exact Newton steps;
+    # the reversal's eigenvalues seed the tiny pair of the last two
+    for poly in ("x^3 - 2x^2 - 1", "x^3 - 10000000000000000x^2 - 1", f"x^3 - {'7' * 200}x^2 - 1"):
+        assert _cold_cli("certify", poly) == {"exit": 0, "loaded": ["numpy"]}
+
+
+NO_MPMATH = """
+import json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+from spectorus.cli import main
+sys.exit(main(json.loads(sys.argv[1])))
+"""
+
+
+@pytest.mark.parametrize("a", ["10000000000000000", "7" * 200], ids=["1e16", "200-sevens"])
+def test_certify_runs_without_mpmath(a):
+    payload = json.loads(_fresh(NO_MPMATH, json.dumps(["certify", f"x^3 - {a}x^2 - 1"])))
+    assert payload["certification"] == "ExactQ2"
+    assert len(payload["small_roots"]) == 2
 
 
 def test_cold_factor_loads_no_heavy_module():
@@ -136,7 +150,7 @@ def test_unknown_attributes_raise_attribute_error():
     assert not hasattr(spectorus, "cli_main")
 
 
-# ---------------------------------------------------------------- lazy numpy and mpmath
+# ---------------------------------------------------------------- lazy numpy, no mpmath
 
 class _Alias:
     """Stands in for a module alias: overrides some attributes, forwards the rest."""
@@ -168,6 +182,7 @@ def test_root_finding_reads_numpy_and_mpmath_through_the_module_aliases(monkeypa
     monkeypatch.setattr(
         rootcert, "mpmath", _Alias(mpmath, polyroots=counting("polyroots", mpmath.polyroots))
     )
-    # the float seeds of the pair coincide: polyroots re-seeds the next rung
+    # eigvals runs on the companion of P and on that of its reversal, which
+    # seeds the tiny pair; nothing calls mpmath
     rootcert.isolate_roots(parse_poly("x^3 - 10000000000000000x^2 - 1"), Fraction(1, 10**24))
-    assert calls == {"eigvals": 1, "polyroots": 1}
+    assert calls == {"eigvals": 2}  # and no polyroots

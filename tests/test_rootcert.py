@@ -485,29 +485,15 @@ def test_precision_exhaustion_reports_undecided_enclosures():
     assert all(e.to_json()["undecided"] for e in enc)
 
 
-def test_isolation_without_float_seeds_starts_from_polyroots(monkeypatch):
-    # a coefficient or root beyond the float range leaves the float rung without seeds
-    P = parse_poly("x^5 - x^4 - 1")
-    target = Fraction(1, 10**12)
-    want = isolate_roots(P, target)
-    polyroots = rootcert._polyroots_centers
-    rungs = []
-
-    def recording(coeffs, prec, scale):
-        rungs.append(prec)
-        return polyroots(coeffs, prec, scale)
-
+def test_isolation_without_float_seeds_raises_at_once(monkeypatch):
+    # a coefficient or a root beyond the float range leaves no seeds to refine
     monkeypatch.setattr(rootcert, "_float_seeds", lambda coeffs: None)
-    monkeypatch.setattr(rootcert, "_polyroots_centers", recording)
-    got = isolate_roots(P, target)
-    assert rungs == [MIN_PRECISION_BITS]
-    assert [e.is_real_certified for e in got] == [e.is_real_certified for e in want]
-    for e, w in zip(got, want):
-        gap = abs(e.center - w.center)
-        assert gap <= float(e.radius + w.radius)
-    monkeypatch.setattr(rootcert, "_polyroots_centers", lambda coeffs, prec, scale: None)
-    with pytest.raises(PrecisionExhausted) as exc:
-        isolate_roots(P, target)
+    with pytest.raises(PrecisionExhausted, match="no float seeds") as exc:
+        isolate_roots(parse_poly("x^5 - x^4 - 1"), Fraction(1, 10**12))
+    assert exc.value.enclosures == ()
+    monkeypatch.undo()
+    with pytest.raises(PrecisionExhausted, match="no float seeds") as exc:
+        isolate_roots(IntPolynomial((-1, 0, -(10**400), 1)), _real_count=1)
     assert exc.value.enclosures == ()
 
 
@@ -520,6 +506,21 @@ def test_float_seeds_beyond_the_float_range_are_none():
     assert seeds is not None and len(seeds) == 5
     assert np.isfinite(seeds).all()
     assert max(abs(z) for z in seeds) == pytest.approx(-big, rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [-(10**16), -3 * 10**16, -(10**18), -(10**24)])
+def test_float_seeds_of_a_tiny_pair_have_a_small_relative_error(a):
+    # the companion eigenvalues give the pair of X^3 + aX^2 - 1, of modulus
+    # about |a|**-1/2, as two exact zeros; the reversal's give it to 1e-12
+    coeffs = (-1, 0, a, 1)
+    seeds = rootcert._float_seeds(coeffs)
+    with mpmath.workdps(60):
+        want = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
+        pair = sorted((z for z in want if abs(z) < 1), key=lambda z: mpmath.im(z))
+        got = sorted((z for z in seeds if abs(z) < 1), key=lambda z: z.imag)
+        assert len(got) == 2
+        for z, w in zip(got, pair):
+            assert abs(mpmath.mpc(z) - w) <= 1e-12 * abs(w)
 
 
 def test_enclosure_json_shape():
@@ -566,6 +567,16 @@ def test_sturm_count_agrees_with_certified_enclosures():
     for P in SAMPLE_POLYS:
         enc = isolate_roots(P)
         assert sum(e.is_real_certified for e in enc) == count_real_roots(P)
+
+
+def test_float_seeds_of_small_coefficients_are_the_companion_eigenvalues():
+    # every root lies within 2**26 of the largest: the reversal is not consulted
+    for P in SAMPLE_POLYS:
+        n = P.degree
+        companion = np.zeros((n, n))
+        companion[1:, :-1] = np.eye(n - 1)
+        companion[:, -1] = [-c for c in P.coeffs[:-1]]
+        assert rootcert._float_seeds(P.coeffs) == np.linalg.eigvals(companion).tolist()
 
 
 def test_enclosures_tighten_with_target():
