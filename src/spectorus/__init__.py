@@ -32,7 +32,6 @@ _EXPORTS = {
         "NotSquarefree",
         "PrecisionExhausted",
         "isolate_roots",
-        "count_real_roots",
     ),
     "spectra": (
         "SpectralProfile",

@@ -171,15 +171,16 @@ def _cmd_search(parser: _Parser, args) -> int:
 
 def _classify(parser: _Parser, P: IntPolynomial, flag: int | None = None, **flags):
     """classify(P) at the precision ceiling; a bad ceiling is a usage error, and
-    so is a lambda past the float range, as the reports carry it as a double."""
+    so is a profile whose report cannot be written: it carries lambda and the
+    real root lambda**q as doubles."""
     try:
         prof = classify(P, max_precision_bits=_max_precision_bits(flag), **flags)
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        prof.lambda_float  # noqa: B018
+        prof.to_json()
     except OverflowError:
-        parser.exit(EXIT_USAGE, f"{parser.prog}: error: lambda is beyond the float range\n")
+        parser.exit(EXIT_USAGE, f"{parser.prog}: error: lambda**q is beyond the float range\n")
     return prof
 
 

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .intpoly import IntPolynomial, _bareiss_det
+from .otkahler import _worst
 from .rootcert import RootEnclosure
 from .spectra import SpectralProfile, classify
 
@@ -302,7 +303,7 @@ def deck_pullback_check(
         pulled = J.T @ G_img @ J
         ref = lam**-2 * metric_at(model, [t])
         dev = np.linalg.norm(pulled - ref) / np.linalg.norm(ref)
-        worst = max(worst, float(dev))
+        worst = _worst(worst, float(dev))
     return worst
 
 
@@ -399,7 +400,7 @@ def curvature_check(
         for (i, j), val in K.items():
             if (i, j) == warped or n - 2 in (i, j):
                 continue
-            max_flat = max(max_flat, abs(val))
+            max_flat = _worst(max_flat, abs(val))
         phi = model.phi_at(t)
         dphi, d2phi = model.phi_derivatives(t)
         K_closed = -(d2phi / (2 * phi) - dphi**2 / (4 * phi**2))
@@ -407,7 +408,7 @@ def curvature_check(
         rel = abs(K_fd - K_closed) / max(abs(K_closed), 1e-30)
         if K_closed == 0:
             rel = abs(K_fd)
-        max_rel = max(max_rel, float(rel))
+        max_rel = _worst(max_rel, float(rel))
         rows.append(
             {
                 "t": t,

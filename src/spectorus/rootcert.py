@@ -1,13 +1,12 @@
 """Certified complex root enclosures and exact real-root counting.
 
-Root finding is exact past its seeds. Hardware eigenvalues of the companion
-matrix seed it, and those of its reversal seed the roots far below the
-largest, so each seed has a small relative error; Newton steps then run on
-Gaussian dyadic integers, and an a-posteriori certification step in the same
-integer arithmetic bounds each center. Every returned disk provably contains
-exactly one root. Real-root counts come from integer Sturm chains or
-Descartes' rule, and root counts in a disk from the Schur-Cohn recursion: no
-floating point.
+Roots of degree 1 to 3 are found in closed form: a cubic's real root by
+exact bisection, its other two, like a quadratic's, by the quadratic formula
+with integer square roots. An a-posteriori certification step in the same
+integer arithmetic bounds each center, so every returned disk provably
+contains exactly one root. Real-root counts come from integer Sturm chains
+or Descartes' rule, and root counts in a disk from the Schur-Cohn recursion:
+no floating point.
 """
 from __future__ import annotations
 
@@ -18,17 +17,16 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exactnum import dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
-from .intpoly import IntPolynomial
+from .exactnum import bisect_root_dyadic, dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
+from .intpoly import IntPolynomial, discriminant
 
 DEFAULT_PRECISION_CEILING = 4096
-MIN_PRECISION_BITS = 53  # first rung of the precision ladder: hardware float seeds
-_NEWTON_GUARD_BITS = 20  # Newton runs at scale 2**-(k + 20), rounded once to 2**-k
+MIN_PRECISION_BITS = 53  # first rung of the precision ladder (k = 61); the least ceiling
+_GUARD_BITS = 20  # centers are computed at scale 2**-(k + 20), rounded once to 2**-k
 
-# numpy (as np) loads on first use: the exact stages decide most verdicts
-# without it. It stays a module global, so a replaced alias (the benchmark
-# tracer's proxy) is what every call here reads. Nothing here calls mpmath;
-# its alias stays only because perfbench/tracer.py proxies rootcert.mpmath.
+# Nothing here calls numpy or mpmath. The aliases stay, loaded on first
+# access, only because perfbench/tracer.py proxies rootcert.np and
+# rootcert.mpmath.
 _LAZY_MODULES = {"np": "numpy", "mpmath": "mpmath"}
 
 
@@ -227,15 +225,6 @@ def disk_root_count(coeffs, u: int, v: int) -> int | None:
     return count
 
 
-def count_real_roots(P: IntPolynomial) -> int:
-    chain = sturm_chain(P.coeffs)
-    if not chain_is_squarefree(chain):
-        raise NotSquarefree(f"{P.render()} is not squarefree")
-    return variations_at_infinity(chain, positive=False) - variations_at_infinity(
-        chain, positive=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # certified enclosures
 
@@ -291,75 +280,19 @@ class RootEnclosure:
         }
 
 
-def _eigvals(column: list[float]) -> list[complex]:
-    """Eigenvalues of the companion matrix with last column `column`, all finite."""
-    np = globals().get("np") or __getattr__("np")
-    n = len(column)
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n :: n + 1] = 1.0  # subdiagonal
-    companion[:, -1] = column
-    roots = np.linalg.eigvals(companion)
-    if not np.isfinite(roots).all():
-        raise OverflowError("an eigenvalue leaves the float range")
-    return roots.tolist()
-
-
-def _float_seeds(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Roots of monic P, each with a small relative error; None when a
-    coefficient or a root leaves the float range.
-
-    Companion eigenvalues are accurate to about 2**-52 times the largest root
-    (Edelman and Murakami, Math. Comp. 64, 1995), so a much smaller root comes
-    out as noise. Each root below 2**-26 times the largest is replaced by the
-    reciprocal of one of the largest eigenvalues of the reversal X**n * P(1/X),
-    whose roots are the reciprocals of P's roots.
-    """
-    try:
-        roots = _eigvals([-float(c) for c in coeffs[:-1]])
-        floor = max(map(abs, roots)) * 2.0**-26
-        small = [i for i, z in enumerate(roots) if abs(z) < floor]
-        if small and coeffs[0]:
-            reversal = _eigvals([-c / coeffs[0] for c in coeffs[:0:-1]])
-            for i, w in zip(small, sorted(reversal, key=abs, reverse=True)):
-                roots[i] = 1 / w
-    except OverflowError:
-        return None
-    return roots
-
-
-def _dyadic_center(z: complex, scale: int) -> tuple[int, int]:
-    """The Gaussian integer nearest z * 2**scale, exactly: a float is a binary rational."""
-    (re_num, re_den), (im_num, im_den) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    return _nearest(re_num << scale, re_den), _nearest(im_num << scale, im_den)
-
-
 def _nearest(num: int, den: int) -> int:
     """The integer nearest num/den for den > 0; ties round up."""
     return (2 * num + den) // (2 * den)
 
 
-def _newton(coeffs, der, centers, scale: int, steps: int) -> list[tuple[int, int]]:
-    """Exact Newton steps c <- c - P(c)/P'(c) on Gaussian integers c at scale 2**-scale.
-
-    With P(c) and P'(c) from dyadic_eval the quotient is (vr + vi*i)/(dr + di*i)
-    units of 2**-scale; each step subtracts it rounded to the nearest Gaussian
-    integer, and stops at a zero P'(c) or a zero step.
-    """
-    out = []
-    for a, b in centers:
-        for _ in range(steps):
-            vr, vi, _ = dyadic_eval(coeffs, a, b, scale)
-            dr, di, _ = dyadic_eval(der, a, b, scale)
-            den = dr * dr + di * di
-            if den == 0:
-                break
-            da = _nearest(vr * dr + vi * di, den)
-            db = _nearest(vi * dr - vr * di, den)
-            if not (da or db):
-                break
-            a, b = a - da, b - db
-        out.append((a, b))
-    return out
+def _quadratic_centers(p: int, d: int, half: int) -> list[tuple[int, int]]:
+    """The roots (-p -+ sqrt(d))/2 of X**2 + p*X + s, d = p**2 - 4*s, as Gaussian
+    integers at scale 2**-k; p is in units of 2**-m, d of 2**-2m, half = 2**(m - k + 1)."""
+    if d < 0:
+        re, im = _nearest(-p, half), _nearest(isqrt(-d), half)
+        return [(re, im), (re, -im)]
+    root = isqrt(d)
+    return [(_nearest(-p - root, half), 0), (_nearest(-p + root, half), 0)]
 
 
 def _certify_stage(
@@ -435,21 +368,26 @@ def isolate_roots(
     P: IntPolynomial,
     target_radius=Fraction(1, 10**12),
     max_precision_bits: int = DEFAULT_PRECISION_CEILING,
-    _real_count: int | None = None,
+    _real_root: tuple[Fraction, Fraction] | None = None,
 ) -> tuple[RootEnclosure, ...]:
-    """deg(P) pairwise-disjoint disks, each certified to hold exactly one root.
+    """deg(P) pairwise-disjoint disks, each certified to hold exactly one root,
+    for monic P of degree 1 to 3.
 
-    The disk radius is the a-posteriori bound deg(P)*|P(c)|/|P'(c)| evaluated
-    exactly at a dyadic center c; disjointness then pins exactly one root per
-    disk. Exact Newton steps refine the float seeds, and precision escalates
-    until every radius is below target_radius, or PrecisionExhausted is
-    raised with the last (undecided) enclosures; without float seeds (a
-    coefficient or a root past the float range) it is raised at once, with none.
-    _real_count is the exact real-root count of a P already proven
-    squarefree; without it count_real_roots proves both here.
+    The centers are closed forms at scale 2**-(k + 20), rounded once to 2**-k:
+    the quadratic formula, and for X**3 + a*X**2 + b*X + c0 a real root r,
+    bisected to that scale, with the roots of the factor X**2 + (a + r)*X - c0/r
+    (X**2 + a*X + b when c0 = 0: the root 0 splits off). The disk radius is the
+    a-posteriori bound deg(P)*|P(c)|/|P'(c)| evaluated exactly at a center c;
+    disjointness then pins exactly one root per disk. k climbs the precision
+    ladder until every radius is below target_radius, or PrecisionExhausted is
+    raised with the last (undecided) enclosures. The sign of the discriminant
+    gives the real-root count; a zero one raises NotSquarefree. _real_root
+    brackets the only real root of a cubic already proven squarefree with one
+    real root, and spares the discriminant and most of the bisection.
     """
-    if P.degree < 1:
-        raise ValueError("degree must be >= 1")
+    n = P.degree
+    if not 1 <= n <= 3:
+        raise ValueError("isolate_roots takes degrees 1 to 3")
     if not P.is_monic:
         raise ValueError("isolate_roots requires a monic polynomial")
     if max_precision_bits < MIN_PRECISION_BITS:
@@ -457,36 +395,40 @@ def isolate_roots(
     target = Fraction(target_radius)
     if target <= 0:
         raise ValueError("target_radius must be positive")
-    if _real_count is None:
-        _real_count = count_real_roots(P)
-    if P.degree == 1:
-        return (
-            RootEnclosure(-P.coeffs[0], 0, 0, Fraction(0), is_real_certified=True),
-        )
-
     coeffs = P.coeffs
-    seeds = _float_seeds(coeffs)
-    if seeds is None:
-        raise PrecisionExhausted(
-            f"no float seeds: a coefficient or a root of {P.render()} is past the float range"
-        )
-    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
-    guard = _NEWTON_GUARD_BITS
-    centers: list[tuple[int, int]] = []  # Newton's, at scale 2**-(k + guard)
-    rounded: list[tuple[int, int]] = []  # the same, rounded to 2**-k
-    k = 0
+    c0, c1 = coeffs[0], coeffs[1]
+    if n == 1:
+        return (RootEnclosure(-c0, 0, 0, Fraction(0), is_real_certified=True),)
+    if _real_root is None:
+        disc = discriminant(P)
+        if disc == 0:
+            raise NotSquarefree(f"{P.render()} is not squarefree")
+        real = n if disc > 0 else n - 2
+        bound = Fraction(1 + max(map(abs, coeffs)))  # Cauchy's bound on every root
+        lo, hi = (-bound, bound) if c0 else (0, 0)
+    else:
+        real, (lo, hi) = 1, _real_root
+    guard = _GUARD_BITS
+    half = 1 << (guard + 1)
+    rounded: list[tuple[int, int]] = []
     for prec in _precision_ladder(max_precision_bits):
-        shift, k = prec + 8 - k, prec + 8
-        if len(set(rounded)) < P.degree:
-            # the float rung, or equal centers (a tiny root and its conjugate on
-            # a coarse rung), which Newton never separates: the seeds, rescaled
-            centers = [_dyadic_center(z, k + guard) for z in seeds]
+        k = prec + 8
+        m = k + guard
+        if n == 2:
+            rounded = _quadratic_centers(c1 << m, (c1 * c1 - 4 * c0) << 2 * m, half)
         else:
-            centers = [(a << shift, b << shift) for a, b in centers]
-        steps = 2 if prec == MIN_PRECISION_BITS else 4
-        centers = _newton(coeffs, der, centers, k + guard, steps)
-        rounded = [(_nearest(a, 1 << guard), _nearest(b, 1 << guard)) for a, b in centers]
-        certified = _certify_stage(coeffs, rounded, k, target, _real_count)
+            if (hi - lo) * (1 << m) > 1:  # this rung needs a finer bracket
+                lo, hi = bisect_root_dyadic(coeffs, lo, hi, m)
+                if (hi - lo) * (1 << m) > 1:  # a midpoint was the root itself
+                    lo = hi = (lo + hi) / 2
+            mid = (lo + hi) * (1 << m)
+            r = _nearest(mid.numerator, 2 * mid.denominator)  # the root, in units of 2**-m
+            if c0 and not r:
+                continue  # |r| < 2**-m: c0/r needs a finer rung
+            p = (coeffs[2] << m) + r
+            d = p * p + ((c0 << 3 * m + 2) // r if c0 else -c1 << 2 * m + 2)
+            rounded = [(_nearest(r, 1 << guard), 0), *_quadratic_centers(p, d, half)]
+        certified = _certify_stage(coeffs, rounded, k, target, real)
         if certified is not None:
             return certified
     raise PrecisionExhausted(

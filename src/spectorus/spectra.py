@@ -158,9 +158,9 @@ def _accepted(
 
     q = 1: X**2 - t*X + c0 with c0 = +-1 and lambda = (t + sqrt(t**2 - 4*c0))/2.
     q = 2: X**3 + a*X**2 + b*X - 1 with one real root alpha > 1 and a pair of
-    modulus 1/lambda, lambda = sqrt(alpha). The enclosures of the pair need
-    isolation within max_precision_bits; past it, or without float seeds for
-    it, the verdict is Undecided / precision_ceiling.
+    modulus 1/lambda, lambda = sqrt(alpha). The pair is the root pair of
+    X**2 + (a + alpha)*X + 1/alpha, from alpha's bracket; its enclosures need
+    max_precision_bits, past which the verdict is Undecided / precision_ceiling.
     """
     bound = 1 + max(abs(c) for c in P.coeffs)  # Cauchy's bound on every root
     extra = _extra_bits(bound)
@@ -177,10 +177,10 @@ def _accepted(
     a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150 + extra)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi, 160 + extra)
-    # disc < 0 proves P squarefree with one real root: no second Sturm chain
+    # disc < 0 proves P squarefree with one real root, and alpha is bracketed
     try:
         encl = isolate_roots(
-            P, Fraction(1, 10**24), max_precision_bits=max_precision_bits, _real_count=1
+            P, Fraction(1, 10**24), max_precision_bits, _real_root=(a_lo, a_hi)
         )
     except PrecisionExhausted:
         return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
@@ -215,9 +215,9 @@ def exact_test_q2(
     Accept iff discriminant < 0 (one real root plus a conjugate pair) and
     P(1) = a + b < 0 (the real root exceeds 1). The product of the roots is 1,
     so the pair modulus is automatically (real root)**(-1/2) = 1/lambda: the
-    modulus condition costs nothing beyond integer arithmetic. The enclosures
-    of the pair need isolation within max_precision_bits; past it the
-    verdict is Undecided / precision_ceiling.
+    modulus condition costs nothing beyond integer arithmetic. The pair's
+    enclosures come from the quadratic factor left by the real root; past
+    max_precision_bits the verdict is Undecided / precision_ceiling.
     """
     if not P.is_monic or P.degree != 3 or P.coeffs[0] != -1:
         raise ValueError("exact_test_q2 requires a monic X^3 + a*X^2 + b*X - 1")

@@ -434,6 +434,7 @@ def test_geometry_past_the_float_range_of_lambda_powers_exits_undecided(verb, se
 
 
 HUGE_LAMBDA = f"x^2 - 1{'0' * 400}x"  # lambda about 1e400, past the largest double
+BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
 
 
 @pytest.mark.parametrize(
@@ -444,14 +445,16 @@ HUGE_LAMBDA = f"x^2 - 1{'0' * 400}x"  # lambda about 1e400, past the largest dou
         ["replay", f"{HUGE_LAMBDA} + 1"],
         ["build", f"{HUGE_LAMBDA} + 1"],
         ["verify-torus", f"{HUGE_LAMBDA} + 1"],
+        # an ExactQ2 acceptance: lambda fits a double, its square alpha does not
+        ["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"],
     ],
-    ids=["certify", "certify-gl", "replay", "build", "verify-torus"],
+    ids=["certify", "certify-gl", "replay", "build", "verify-torus", "certify-q2"],
 )
 def test_lambda_beyond_the_float_range_is_a_usage_error(argv, capsys):
-    # the reports carry lambda as a double; exit 1 would claim a rejection
+    # the reports carry lambda and lambda**q as doubles; exit 1 would claim a rejection
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
-    assert err == f"spectorus {argv[0]}: error: lambda is beyond the float range\n"
+    assert err == f"spectorus {argv[0]}: error: lambda**q is beyond the float range\n"
 
 
 # ---------------------------------------------------------------- verify-ot
@@ -594,7 +597,7 @@ def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):
 )
 def test_certify_cubic_with_coincident_float_seeds_is_accepted(a, capsys):
     # the companion eigenvalues give the conjugate pair of this cubic as two
-    # exact zeros; the reversal's eigenvalues seed it
+    # exact zeros; the quadratic factor left by the real root gives it exactly
     code, out, _ = run_cli(["certify", f"x^3 - {a}x^2 - 1"], capsys)
     assert code == 0
     payload = json.loads(out)
@@ -603,23 +606,18 @@ def test_certify_cubic_with_coincident_float_seeds_is_accepted(a, capsys):
     assert len(payload["small_roots"]) == 2
 
 
-BEYOND_FLOATS = "7" * 400  # about 7.8e399, past the largest double
-
-
 @pytest.mark.parametrize(
     "argv, verdicts",
     [
-        (["certify", f"x^3 - {BEYOND_FLOATS}x^2 - 1"], {"Undecided"}),
         (["certify", f"x^5 - {BEYOND_FLOATS}x^4 + x^2 - 1"], {"Rejected", "Undecided"}),
         (["certify", f"x^4 - {BEYOND_FLOATS}x^3 + x^2 - 1", "--gl"], {"Rejected"}),
         # coefficients that fit a double but float roots that do not
         (["certify", f"x^5 - {'7' * 150}x^4 + x^2 - 1", "--max-precision-bits", "53"],
          {"Rejected", "Undecided"}),
     ],
-    ids=["q2-accepted", "degree-5", "gl-quartic", "float-roots-overflow"],
+    ids=["degree-5", "gl-quartic", "float-roots-overflow"],
 )
 def test_certify_beyond_the_float_range_ends_in_a_verdict(argv, verdicts, capsys):
-    # the cubic's pair isolation has no float seeds and stops at once;
     # degree >= 4 needs no float roots
     code, out, err = run_cli(argv, capsys)
     assert err == ""

@@ -1,6 +1,7 @@
 """Mapping-torus construction: companion splitting, invariant form, warped metric."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,25 @@ def test_curvature_flat_control():
     report = curvature_check(model, [0.7, 1.9])
     assert report["max_warped_rel_error"] <= 1e-6
     assert report["max_flat_abs"] <= 1e-6
+
+
+def test_a_nan_after_the_first_sample_fails_the_gates():
+    # max(0.0, nan) is 0.0: a plain max fold would drop the second sample
+    nan = float("nan")
+    phi = tuple(
+        (lambda t, f=f: nan if t > 1.5 else f(t))
+        for f in (lambda t: t**4, lambda t: 4 * t**3, lambda t: 12 * t**2)
+    )
+    model = build_model(GOLDEN, phi=phi)
+    deck = deck_pullback_check(model, [(0.1, 0.2, 1.0), (0.3, -0.2, 3.0)])
+    curv = curvature_check(model, [1.0, 2.0])
+    assert curv["planes"][0]["rel_error"] <= 1e-6  # the first sample is clean
+    assert math.isnan(deck)
+    assert math.isnan(curv["max_flat_abs"]) and math.isnan(curv["max_warped_rel_error"])
+    # the comparisons of verify_torus_report's "passes"
+    assert not deck <= 1e-10
+    assert not curv["max_warped_rel_error"] <= 1e-4
+    assert not curv["max_flat_abs"] <= 1e-6
 
 
 def test_curvature_requires_positive_t():

@@ -84,11 +84,15 @@ def test_cold_certify_past_the_counts_loads_no_heavy_module(argv, code):
     assert _cold_cli("certify", *argv) == {"exit": code, "loaded": []}
 
 
-def test_cold_certify_of_an_accepted_cubic_loads_numpy_only():
-    # the conjugate pair is isolated: float seeds, then exact Newton steps;
-    # the reversal's eigenvalues seed the tiny pair of the last two
-    for poly in ("x^3 - 2x^2 - 1", "x^3 - 10000000000000000x^2 - 1", f"x^3 - {'7' * 200}x^2 - 1"):
-        assert _cold_cli("certify", poly) == {"exit": 0, "loaded": ["numpy"]}
+def test_cold_certify_of_an_accepted_cubic_loads_no_numpy():
+    # the conjugate pair comes in closed form from the quadratic factor
+    for poly in (
+        "x^3 - x - 1",
+        "x^3 - 2x^2 - 1",
+        "x^3 - 10000000000000000x^2 - 1",
+        f"x^3 - {'7' * 200}x^2 - 1",
+    ):
+        assert _cold_cli("certify", poly) == {"exit": 0, "loaded": []}
 
 
 NO_MPMATH = """
@@ -104,6 +108,35 @@ def test_certify_runs_without_mpmath(a):
     payload = json.loads(_fresh(NO_MPMATH, json.dumps(["certify", f"x^3 - {a}x^2 - 1"])))
     assert payload["certification"] == "ExactQ2"
     assert len(payload["small_roots"]) == 2
+
+
+NO_NUMPY = """
+import io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from spectorus.cli import main
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = main(json.loads(sys.argv[1]))
+stdout.write(json.dumps({"exit": code, "profile": json.loads(sys.stdout.getvalue())}))
+"""
+
+
+@pytest.mark.parametrize(
+    "poly, certification, code",
+    [
+        ("x^2 - 3x + 1", "ExactQ1", 0),
+        ("x^3 - x - 1", "ExactQ2", 0),
+        ("x^3 - 10000000000000000x^2 - 1", "ExactQ2", 0),  # a kept-fault cubic
+        (f"x^3 - {'7' * 200}x^2 - 1", "ExactQ2", 0),
+        ("x^5 - x^4 - 1", "Rejected", 1),  # disk search: modulus_separation
+    ],
+    ids=["q1", "plastic", "kept-fault", "200-sevens", "disk"],
+)
+def test_certify_runs_without_numpy(poly, certification, code):
+    payload = json.loads(_fresh(NO_NUMPY, json.dumps(["certify", poly])))
+    assert payload["exit"] == code
+    assert payload["profile"]["certification"] == certification
+    if certification == "ExactQ2":
+        assert len(payload["profile"]["small_roots"]) == 2
 
 
 def test_cold_factor_loads_no_heavy_module():
@@ -125,7 +158,7 @@ print(json.dumps([before, "spectorus.searchkit" in after, "spectorus.geomlab" in
 # ---------------------------------------------------------------- lazy exports
 
 def test_every_export_resolves():
-    assert len(spectorus.__all__) == len(set(spectorus.__all__)) == 51
+    assert len(spectorus.__all__) == len(set(spectorus.__all__)) == 50
     for name in spectorus.__all__:
         getattr(spectorus, name)
     assert spectorus.classify is spectorus.spectra.classify
@@ -150,7 +183,7 @@ def test_unknown_attributes_raise_attribute_error():
     assert not hasattr(spectorus, "cli_main")
 
 
-# ---------------------------------------------------------------- lazy numpy, no mpmath
+# ---------------------------------------------------------------- no numpy, no mpmath
 
 class _Alias:
     """Stands in for a module alias: overrides some attributes, forwards the rest."""
@@ -182,7 +215,7 @@ def test_root_finding_reads_numpy_and_mpmath_through_the_module_aliases(monkeypa
     monkeypatch.setattr(
         rootcert, "mpmath", _Alias(mpmath, polyroots=counting("polyroots", mpmath.polyroots))
     )
-    # eigvals runs on the companion of P and on that of its reversal, which
-    # seeds the tiny pair; nothing calls mpmath
+    # the aliases resolve, so the benchmark tracer can proxy them; the pair
+    # comes from the quadratic factor, and nothing calls numpy or mpmath
     rootcert.isolate_roots(parse_poly("x^3 - 10000000000000000x^2 - 1"), Fraction(1, 10**24))
-    assert calls == {"eigvals": 2}  # and no polyroots
+    assert calls == {}  # no eigvals, no polyroots

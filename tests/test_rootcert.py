@@ -27,7 +27,6 @@ from spectorus.rootcert import (
     MIN_PRECISION_BITS,
     NotSquarefree,
     PrecisionExhausted,
-    count_real_roots,
     disk_root_count,
     isolate_roots,
     squarefree_by_small_primes,
@@ -38,6 +37,8 @@ from spectorus.rootcert import (
     variations_at_infinity,
 )
 from spectorus.spectra import classify
+
+from isolation_oracle import oracle_isolate as _oracle_isolate, sturm_real_count
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
@@ -230,10 +231,10 @@ def test_sturm_squarefree_detection():
 
 
 def test_count_real_roots_examples():
-    assert count_real_roots(GOLDEN) == 2
-    assert count_real_roots(PLASTIC) == 1
-    assert count_real_roots(parse_poly("x^2 + 1")) == 0
-    assert count_real_roots(parse_poly("x^3 - 2x - 1")) == 3
+    assert sturm_real_count(GOLDEN) == 2
+    assert sturm_real_count(PLASTIC) == 1
+    assert sturm_real_count(parse_poly("x^2 + 1")) == 0
+    assert sturm_real_count(parse_poly("x^3 - 2x - 1")) == 3
 
 
 @settings(derandomize=True, max_examples=60)
@@ -259,7 +260,7 @@ def test_count_agrees_with_numpy_on_squarefree_samples(tail):
         return
     roots = np.roots(P.coeffs[::-1])
     numeric = sum(1 for r in roots if abs(r.imag) < 1e-9)
-    assert count_real_roots(P) == numeric
+    assert sturm_real_count(P) == numeric
 
 
 @settings(derandomize=True, max_examples=200)
@@ -389,7 +390,7 @@ def test_isolate_gaussian_units():
 
 
 def test_enclosures_are_pairwise_disjoint():
-    for P in (GOLDEN, PLASTIC, parse_poly("x^4 - 2x^3 + x - 1")):
+    for P in (GOLDEN, PLASTIC, parse_poly("x^3 - 2x - 1")):
         enc = isolate_roots(P)
         for i in range(len(enc)):
             for j in range(i + 1, len(enc)):
@@ -469,11 +470,14 @@ def _certify_stage_without_reuse(coeffs, centers, k, target, total_real):
 )
 @pytest.mark.parametrize("target", [Fraction(1, 10**10), Fraction(1, 10**40)])
 def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatch):
+    # isolate_roots stops at degree 3; the oracle isolates these through the
+    # same certify stage
     P = parse_poly(text)
-    got = isolate_roots(P, target)
+    real = sturm_real_count(P)
+    got = _oracle_isolate(P, target, real)
     assert sum(e.b > 0 for e in got) >= 2  # several conjugate pairs
     monkeypatch.setattr(rootcert, "_certify_stage", _certify_stage_without_reuse)
-    assert isolate_roots(P, target) == got
+    assert _oracle_isolate(P, target, real) == got
 
 
 def test_precision_exhaustion_reports_undecided_enclosures():
@@ -485,42 +489,22 @@ def test_precision_exhaustion_reports_undecided_enclosures():
     assert all(e.to_json()["undecided"] for e in enc)
 
 
-def test_isolation_without_float_seeds_raises_at_once(monkeypatch):
-    # a coefficient or a root beyond the float range leaves no seeds to refine
-    monkeypatch.setattr(rootcert, "_float_seeds", lambda coeffs: None)
-    with pytest.raises(PrecisionExhausted, match="no float seeds") as exc:
-        isolate_roots(parse_poly("x^5 - x^4 - 1"), Fraction(1, 10**12))
-    assert exc.value.enclosures == ()
-    monkeypatch.undo()
-    with pytest.raises(PrecisionExhausted, match="no float seeds") as exc:
-        isolate_roots(IntPolynomial((-1, 0, -(10**400), 1)), _real_count=1)
-    assert exc.value.enclosures == ()
-
-
-def test_float_seeds_beyond_the_float_range_are_none():
-    assert rootcert._float_seeds((-1, 0, -(10**400), 1)) is None  # a coefficient
-    # the eigenvalues fit a double; the Newton steps on them are exact, so P(c)
-    # beyond the float range no longer costs the float rung its seeds
-    big = -int("7" * 150)
-    seeds = rootcert._float_seeds((-1, 0, 1, 0, big, 1))
-    assert seeds is not None and len(seeds) == 5
-    assert np.isfinite(seeds).all()
-    assert max(abs(z) for z in seeds) == pytest.approx(-big, rel=1e-12)
-
-
-@pytest.mark.parametrize("a", [-(10**16), -3 * 10**16, -(10**18), -(10**24)])
-def test_float_seeds_of_a_tiny_pair_have_a_small_relative_error(a):
-    # the companion eigenvalues give the pair of X^3 + aX^2 - 1, of modulus
-    # about |a|**-1/2, as two exact zeros; the reversal's give it to 1e-12
-    coeffs = (-1, 0, a, 1)
-    seeds = rootcert._float_seeds(coeffs)
-    with mpmath.workdps(60):
-        want = mpmath.polyroots(coeffs[::-1], maxsteps=400, extraprec=400)
-        pair = sorted((z for z in want if abs(z) < 1), key=lambda z: mpmath.im(z))
-        got = sorted((z for z in seeds if abs(z) < 1), key=lambda z: z.imag)
-        assert len(got) == 2
-        for z, w in zip(got, pair):
-            assert abs(mpmath.mpc(z) - w) <= 1e-12 * abs(w)
+def test_a_cubic_past_the_float_range_is_isolated():
+    # X^3 - 10**400 X^2 - 1: neither the coefficient nor the real root fits a
+    # double, and the pair, of modulus about 10**-200, comes from the
+    # quadratic factor
+    P = IntPolynomial((-1, 0, -(10**400), 1))
+    enc = isolate_roots(P, Fraction(1, 10**24))
+    (big,) = [e for e in enc if e.is_real_certified]
+    assert len(enc) == 3 and all(e.radius <= Fraction(1, 10**24) for e in enc)
+    lo, hi = big.real_interval()
+    assert 10**400 - 1 < lo and hi < 10**400 + 1
+    lo = hi = Fraction(1)
+    for e in enc:
+        m_lo, m_hi = e.modulus_interval()
+        lo, hi = lo * m_lo, hi * m_hi
+    assert lo <= 1 <= hi
+    assert {e.k for e in enc} == {968}
 
 
 def test_enclosure_json_shape():
@@ -539,10 +523,41 @@ SAMPLE_POLYS = [
     PLASTIC,
     parse_poly("x^2 + 1"),
     parse_poly("x^3 - 2x^2 + x - 1"),
-    parse_poly("x^4 - 2x^3 + x - 1"),
-    parse_poly("x^5 - x^4 - 1"),
-    parse_poly("x^4 + x^3 + x^2 + x + 1"),
+    parse_poly("x^3 - 2x - 1"),  # three real roots
+    parse_poly("x^3 - x"),  # P(0) = 0: the root 0 splits off
+    parse_poly("x^3 + x"),
 ]
+
+
+@pytest.mark.parametrize("text", ["x^4 - 2x^3 + x - 1", "x^5 - x^4 - 1", "x^4 + x^3 + x^2 + x + 1"])
+def test_degree_above_three_is_refused(text):
+    with pytest.raises(ValueError, match="degrees 1 to 3"):
+        isolate_roots(parse_poly(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^3 - x",  # P(0) = 0: the root 0 splits off
+        "x^3 + x",
+        "x^3 - 2x - 1",  # three real roots
+        "x^3 - 3x - 1",
+        "x^3 - 7x + 6",  # the bisection meets the root -3 at a midpoint
+        f"x^3 + 1{'0' * 46}x - 1",  # a real root near 1e-46: the first rungs skip
+        "x^2 - 5x + 5",
+        "x^2 + x + 7",
+    ],
+)
+def test_enclosures_hold_the_mpmath_roots(text):
+    # each disk holds exactly one 150-digit root, and is real iff its root is
+    P = parse_poly(text)
+    enc = isolate_roots(P, Fraction(1, 10**30))
+    with mpmath.workdps(150):
+        roots = mpmath.polyroots(P.coeffs[::-1], maxsteps=400, extraprec=400)
+        for e in enc:
+            c = mpmath.mpc(e.a, e.b) / 2**e.k
+            (z,) = [z for z in roots if abs(z - c) <= e.radius + mpmath.mpf(10) ** -60]
+            assert e.is_real_certified == (abs(mpmath.im(z)) < mpmath.mpf(10) ** -60)
 
 
 def test_vieta_center_sum_matches_trace():
@@ -566,21 +581,11 @@ def test_modulus_product_brackets_constant_term():
 def test_sturm_count_agrees_with_certified_enclosures():
     for P in SAMPLE_POLYS:
         enc = isolate_roots(P)
-        assert sum(e.is_real_certified for e in enc) == count_real_roots(P)
-
-
-def test_float_seeds_of_small_coefficients_are_the_companion_eigenvalues():
-    # every root lies within 2**26 of the largest: the reversal is not consulted
-    for P in SAMPLE_POLYS:
-        n = P.degree
-        companion = np.zeros((n, n))
-        companion[1:, :-1] = np.eye(n - 1)
-        companion[:, -1] = [-c for c in P.coeffs[:-1]]
-        assert rootcert._float_seeds(P.coeffs) == np.linalg.eigvals(companion).tolist()
+        assert sum(e.is_real_certified for e in enc) == sturm_real_count(P)
 
 
 def test_enclosures_tighten_with_target():
-    # 1e-6 certifies on the float rung (k = 61), 1e-30 needs the next (k = 128)
+    # 1e-6 certifies on the first rung (k = 61), 1e-30 needs the next (k = 128)
     coarse = isolate_roots(PLASTIC, Fraction(1, 10**6))
     fine = isolate_roots(PLASTIC, Fraction(1, 10**30))
     assert {e.k for e in coarse} == {MIN_PRECISION_BITS + 8}
@@ -590,111 +595,7 @@ def test_enclosures_tighten_with_target():
 
 
 # ------------------------------------------------- float and mpmath Newton oracle
-
-# The isolation that the exact Newton steps replaced, kept as a named oracle:
-# eigenvalue seeds after two hardware Newton steps, four mpmath Newton steps
-# per later rung, mpmath.polyroots for missing or coinciding seeds, and the
-# same certify stage at the same scale 2**-k.
-
-def _oracle_float_seeds(coeffs):
-    try:
-        column = [-float(c) for c in coeffs[:-1]]
-        der = [float(j * c) for j, c in enumerate(coeffs)][1:]
-    except OverflowError:
-        return None
-    n = len(coeffs) - 1
-    companion = np.zeros((n, n))
-    companion.reshape(-1)[n :: n + 1] = 1.0
-    companion[:, -1] = column
-    roots = np.linalg.eigvals(companion).tolist()
-    if not np.isfinite(roots).all():
-        return None
-
-    def horner(cs, x):
-        v = 0.0 + 0.0j
-        for c in reversed(cs):
-            v = v * x + c
-        return v
-
-    out = []
-    for r in roots:
-        x = complex(r)
-        for _ in range(2):
-            d = horner(der, x)
-            if d == 0:
-                break
-            x -= horner(coeffs, x) / d
-        out.append(x)
-    return out if np.isfinite(out).all() else None
-
-
-def _oracle_mpmath_polish(coeffs, seeds, prec):
-    der_desc = [j * c for j, c in enumerate(coeffs)][:0:-1]
-    desc = list(reversed(coeffs))
-    out = []
-    with mpmath.workprec(prec + 20):
-        for s in seeds:
-            x = mpmath.mpc(s[0], s[1])
-            for _ in range(4):
-                d = mpmath.polyval(der_desc, x)
-                if d == 0:
-                    break
-                x = x - mpmath.polyval(desc, x) / d
-            out.append(x)
-    return out
-
-
-def _oracle_polyroots_seeds(coeffs, prec):
-    extra = (1 + max(abs(c) for c in coeffs)).bit_length() + 20
-    with mpmath.workprec(prec + 20):
-        try:
-            roots = mpmath.polyroots(
-                list(reversed(coeffs)), maxsteps=200, cleanup=False, extraprec=extra
-            )
-        except mpmath.libmp.NoConvergence:
-            return None
-        return [(mpmath.re(z), mpmath.im(z)) for z in roots]
-
-
-def _oracle_dyadic_center(value, k):
-    if isinstance(value, float):
-        return round(Fraction(value) * (1 << k))
-    sign, man, exp, _ = value._mpf_
-    return round(Fraction(-man if sign else man) * Fraction(2) ** exp * (1 << k))
-
-
-def _oracle_isolate(P, target, real_count, ceiling=rootcert.DEFAULT_PRECISION_CEILING):
-    coeffs = P.coeffs
-    centers, prev_k = [], None
-    for prec in rootcert._precision_ladder(ceiling):
-        k = prec + 8
-        seeds = _oracle_float_seeds(coeffs) if prec == MIN_PRECISION_BITS else None
-        if seeds is not None:
-            centers = [
-                (_oracle_dyadic_center(z.real, k), _oracle_dyadic_center(z.imag, k))
-                for z in seeds
-            ]
-        else:
-            seeds_m = None
-            if len(set(centers)) < P.degree:
-                seeds_m = _oracle_polyroots_seeds(coeffs, prec)
-            if seeds_m is None:
-                if not centers:
-                    continue
-                with mpmath.workprec(prec + 20):
-                    den = mpmath.mpf(1 << prev_k)
-                    seeds_m = [(mpmath.mpf(a) / den, mpmath.mpf(b) / den) for a, b in centers]
-            polished = _oracle_mpmath_polish(coeffs, seeds_m, prec)
-            centers = [
-                (_oracle_dyadic_center(z.real, k), _oracle_dyadic_center(z.imag, k))
-                for z in polished
-            ]
-        certified = rootcert._certify_stage(coeffs, centers, k, target, real_count)
-        if certified is not None:
-            return certified
-        prev_k = k
-    return None
-
+# (isolation_oracle.py, shared with test_spectra)
 
 def _accepted_cubics(bound, **flags):
     for a in range(-bound, bound + 1):

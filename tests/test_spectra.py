@@ -18,10 +18,8 @@ from spectorus.exactnum import bisect_root_dyadic, nth_root_bounds, sqrt_bounds
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly, power_transform
 from spectorus.rootcert import (
     DEFAULT_PRECISION_CEILING,
-    PrecisionExhausted,
     chain_is_squarefree,
     disk_root_count,
-    isolate_roots,
     squarefree_by_small_primes,
     sturm_chain,
     variations_above_one,
@@ -51,6 +49,8 @@ from spectorus.spectra import (
     replay_case_even,
     replay_case_odd,
 )
+
+from isolation_oracle import oracle_isolate
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
@@ -113,16 +113,37 @@ def test_exact_q2_plastic_cubic():
 
 
 def test_exact_q2_builds_no_sturm_chain(monkeypatch):
-    # disc < 0 already proves one real root; isolate_roots is told so
+    # disc < 0 already proves one real root; isolate_roots is told so, with
+    # the real root's bracket, and neither builds a chain nor recomputes disc
     import spectorus.rootcert as rootcert
 
     expected = exact_test_q2(PLASTIC).to_json()
 
-    def no_chain(*args):
-        raise AssertionError("exact_test_q2 built a Sturm chain")
+    def refuse(*args):
+        raise AssertionError("exact_test_q2 repeated a proof")
 
-    monkeypatch.setattr(rootcert, "count_real_roots", no_chain)
+    for module, name in (
+        (rootcert, "sturm_chain"),
+        (spectra, "sturm_chain"),
+        (rootcert, "discriminant"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     assert exact_test_q2(PLASTIC).to_json() == expected
+
+
+def test_exact_q2_past_the_float_range():
+    # alpha is about 7.8e399, no double: the acceptance and the pair are exact,
+    # and only the report, which carries alpha as a double, cannot be written
+    profile = classify(cubic(-int("7" * 400), 0))
+    assert profile.certification == EXACT_Q2
+    assert len(profile.small_roots) == 2
+    lam_lo, lam_hi = profile.lam
+    for e in profile.small_roots:
+        assert e.radius <= Fraction(1, 10**24)
+        m_lo, m_hi = e.modulus_interval()
+        assert m_lo <= 1 / lam_lo and 1 / lam_hi <= m_hi
+    with pytest.raises(OverflowError):
+        profile.to_json()
 
 
 def test_exact_q2_square_transform_of_plastic():
@@ -346,9 +367,9 @@ def _separation_verdict(smalls, t_lo, t_hi):
 def _chain_first_classify(P, allow_gl=False, force_interval=False):
     """Reference classify in an earlier stage order and by an independent
     route: the Sturm chain's squarefree verdict first, then the P(+-1)
-    screens, the Sturm counts and one pass of root isolation that separates
-    the moduli from 1/lambda or contains it; isolate_roots builds its own
-    chain again."""
+    screens, the Sturm counts and one pass of root isolation, by the float
+    and mpmath oracle, that separates the moduli from 1/lambda or contains
+    it."""
     n, q, c0 = P.degree, P.degree - 1, P.coeffs[0]
     expected = -1 if n % 2 else 1
     if (abs(c0) != 1) if allow_gl else (c0 != expected):
@@ -382,9 +403,9 @@ def _chain_first_classify(P, allow_gl=False, force_interval=False):
         return spectra._rejected(P, q, ROOT_BELOW_MINUS_ONE, f"{below} real roots below -1")
     # the first pass of the isolation route: every comparison below decides in it
     target, refine_bits = Fraction(1, 10**10), 260
-    try:
-        encl = isolate_roots(P, target)
-    except PrecisionExhausted:
+    real = variations_at_infinity(chain, positive=False) - v_inf
+    encl = oracle_isolate(P, target, real)
+    if encl is None:
         return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
     bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
     assert len(bigs) == 1, f"{P.render()} straddles the first pass"
