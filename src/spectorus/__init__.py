@@ -24,15 +24,9 @@ _EXPORTS = {
         "power_sums",
         "power_transform",
         "discriminant",
-        "resultant",
         "factor_oracle",
     ),
-    "rootcert": (
-        "RootEnclosure",
-        "NotSquarefree",
-        "PrecisionExhausted",
-        "isolate_roots",
-    ),
+    "rootcert": ("RootEnclosure",),
     "spectra": (
         "SpectralProfile",
         "ReplayReport",

@@ -14,7 +14,7 @@ import sys
 # only the exact layers load here; each verb imports the rest of what it
 # reaches, so a cold certify never loads numpy before it needs it
 from .intpoly import IntPolynomial, PolyParseError, factor_oracle, parse_poly
-from .rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
+from .rootcert import DEFAULT_PRECISION_CEILING
 from .spectra import (
     REJECTED,
     UNDECIDED,
@@ -138,8 +138,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_search(parser: _Parser, args) -> int:
-    from .searchkit import cross_check, search
+    from .searchkit import CROSS_CHECK_MAX_DEGREE, cross_check, search
 
+    if args.cross_check and args.degree > CROSS_CHECK_MAX_DEGREE:
+        parser.error(f"--cross-check supports degree <= {CROSS_CHECK_MAX_DEGREE}")
     try:
         report = search(
             args.degree,
@@ -311,12 +313,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _HANDLERS[args.command](args.subparser, args)
-    except PrecisionExhausted as exc:
-        # exit 1 would claim a certified rejection; nothing was proven
-        sys.stderr.write(f"{parser.prog}: undecided: {exc}\n")
-        return EXIT_UNDECIDED
+    return _HANDLERS[args.command](args.subparser, args)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Coefficients are stored ascending (constant term first). The module provides
 parsing/rendering, reversal with monic normalization, exact power sums and the
-power transform built on Newton's identities, resultant-based discriminants,
-and a brute-force factorization oracle meant for tests.
+power transform built on Newton's identities, closed-form discriminants of
+quadratics and cubics, a fraction-free determinant, and a brute-force
+factorization oracle meant for tests.
 """
 from __future__ import annotations
 
@@ -316,38 +317,19 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def resultant(P: IntPolynomial, Q: IntPolynomial) -> int:
-    """Sylvester-matrix resultant of two integer polynomials."""
-    n, m = P.degree, Q.degree
-    if P.is_zero or Q.is_zero:
-        return 0
-    if n == 0:
-        return P.coeffs[0] ** m
-    if m == 0:
-        return Q.coeffs[0] ** n
-    size = n + m
-    rows: list[list[int]] = []
-    pc = P.coeffs[::-1]  # descending
-    qc = Q.coeffs[::-1]
-    for i in range(m):
-        rows.append([0] * i + list(pc) + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + list(qc) + [0] * (size - m - 1 - i))
-    return _bareiss_det(rows)
-
-
 def discriminant(P: IntPolynomial) -> int:
-    """Exact discriminant via the resultant of P and P'."""
-    n = P.degree
-    if n < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    res = resultant(P, P.derivative())
-    lead = P.coeffs[-1]
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    quot, rem = divmod(sign * res, lead)
-    if rem:
-        raise ArithmeticError("resultant not divisible by the leading coefficient")
-    return quot
+    """Exact discriminant of a monic quadratic or cubic, in closed form.
+
+    X**2 + b*X + c gives b**2 - 4*c; X**3 + a*X**2 + b*X + c gives
+    a**2*b**2 - 4*b**3 - 4*a**3*c - 27*c**2 + 18*a*b*c.
+    """
+    if not P.is_monic or P.degree not in (2, 3):
+        raise ValueError("discriminant requires a monic polynomial of degree 2 or 3")
+    if P.degree == 2:
+        c, b, _ = P.coeffs
+        return b * b - 4 * c
+    c, b, a, _ = P.coeffs
+    return a * a * b * b - 4 * b**3 - 4 * a**3 * c - 27 * c * c + 18 * a * b * c
 
 
 def _divides_exactly(P: IntPolynomial, G: IntPolynomial) -> IntPolynomial | None:

@@ -1,9 +1,9 @@
 """Certified complex root enclosures and exact real-root counting.
 
-Roots of degree 1 to 3 are found in closed form: a cubic's real root by
-exact bisection, its other two, like a quadratic's, by the quadratic formula
-with integer square roots. An a-posteriori certification step in the same
-integer arithmetic bounds each center, so every returned disk provably
+The roots of an accepted cubic X**3 + a*X**2 + b*X - 1 are found in closed
+form: its real root by exact bisection, its conjugate pair by the quadratic
+formula with integer square roots. An a-posteriori certification step in the
+same integer arithmetic bounds each center, so every returned disk provably
 contains exactly one root. Real-root counts come from integer Sturm chains
 or Descartes' rule, and root counts in a disk from the Schur-Cohn recursion:
 no floating point.
@@ -18,11 +18,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .exactnum import bisect_root_dyadic, dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
-from .intpoly import IntPolynomial, discriminant
+from .intpoly import IntPolynomial
 
 DEFAULT_PRECISION_CEILING = 4096
 MIN_PRECISION_BITS = 53  # first rung of the precision ladder (k = 61); the least ceiling
 _GUARD_BITS = 20  # centers are computed at scale 2**-(k + 20), rounded once to 2**-k
+_TARGET_RADIUS = Fraction(1, 10**24)  # every enclosure isolate_roots returns is this tight
 
 # Nothing here calls numpy or mpmath. The aliases stay, loaded on first
 # access, only because perfbench/tracer.py proxies rootcert.np and
@@ -35,18 +36,6 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = globals()[name] = importlib.import_module(_LAZY_MODULES[name])
     return module
-
-
-class NotSquarefree(ValueError):
-    """The polynomial has a repeated root (gcd with its derivative is nonconstant)."""
-
-
-class PrecisionExhausted(RuntimeError):
-    """Certification failed below the precision ceiling; carries undecided enclosures."""
-
-    def __init__(self, message: str, enclosures: tuple["RootEnclosure", ...] = ()):
-        super().__init__(message)
-        self.enclosures = enclosures
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,6 @@ class RootEnclosure:
     k: int
     radius: Fraction
     is_real_certified: bool = False
-    undecided: bool = False
 
     @property
     def re(self) -> float:
@@ -276,23 +264,13 @@ class RootEnclosure:
             "im": self.im,
             "radius": self.radius_float,
             "real": self.is_real_certified,
-            "undecided": self.undecided,
+            "undecided": False,  # a schema field; every enclosure here is certified
         }
 
 
 def _nearest(num: int, den: int) -> int:
     """The integer nearest num/den for den > 0; ties round up."""
     return (2 * num + den) // (2 * den)
-
-
-def _quadratic_centers(p: int, d: int, half: int) -> list[tuple[int, int]]:
-    """The roots (-p -+ sqrt(d))/2 of X**2 + p*X + s, d = p**2 - 4*s, as Gaussian
-    integers at scale 2**-k; p is in units of 2**-m, d of 2**-2m, half = 2**(m - k + 1)."""
-    if d < 0:
-        re, im = _nearest(-p, half), _nearest(isqrt(-d), half)
-        return [(re, im), (re, -im)]
-    root = isqrt(d)
-    return [(_nearest(-p - root, half), 0), (_nearest(-p + root, half), 0)]
 
 
 def _certify_stage(
@@ -365,75 +343,38 @@ def _precision_ladder(ceiling: int) -> list[int]:
 
 
 def isolate_roots(
-    P: IntPolynomial,
-    target_radius=Fraction(1, 10**12),
-    max_precision_bits: int = DEFAULT_PRECISION_CEILING,
-    _real_root: tuple[Fraction, Fraction] | None = None,
-) -> tuple[RootEnclosure, ...]:
-    """deg(P) pairwise-disjoint disks, each certified to hold exactly one root,
-    for monic P of degree 1 to 3.
+    P: IntPolynomial, alpha: tuple[Fraction, Fraction], max_precision_bits: int
+) -> tuple[RootEnclosure, ...] | None:
+    """The three certified disks of an accepted X**3 + a*X**2 + b*X - 1, or None
+    past max_precision_bits.
 
-    The centers are closed forms at scale 2**-(k + 20), rounded once to 2**-k:
-    the quadratic formula, and for X**3 + a*X**2 + b*X + c0 a real root r,
-    bisected to that scale, with the roots of the factor X**2 + (a + r)*X - c0/r
-    (X**2 + a*X + b when c0 = 0: the root 0 splits off). The disk radius is the
-    a-posteriori bound deg(P)*|P(c)|/|P'(c)| evaluated exactly at a center c;
+    alpha brackets the real root, the only one. The centers are closed forms
+    at scale 2**-(k + 20), rounded once to 2**-k: alpha, bisected to that
+    scale, and the pair (-(a + alpha) +- i*sqrt(4/alpha - (a + alpha)**2))/2,
+    the roots of the factor X**2 + (a + alpha)*X + 1/alpha. The disk radius is
+    the a-posteriori bound 3*|P(c)|/|P'(c)| evaluated exactly at a center c;
     disjointness then pins exactly one root per disk. k climbs the precision
-    ladder until every radius is below target_radius, or PrecisionExhausted is
-    raised with the last (undecided) enclosures. The sign of the discriminant
-    gives the real-root count; a zero one raises NotSquarefree. _real_root
-    brackets the only real root of a cubic already proven squarefree with one
-    real root, and spares the discriminant and most of the bisection.
+    ladder until every radius is below 1e-24. alpha is irrational: a rational
+    root would be +-1, and P(1) = a + b < 0, so no bisection midpoint is a root.
     """
-    n = P.degree
-    if not 1 <= n <= 3:
-        raise ValueError("isolate_roots takes degrees 1 to 3")
-    if not P.is_monic:
-        raise ValueError("isolate_roots requires a monic polynomial")
-    if max_precision_bits < MIN_PRECISION_BITS:
-        raise ValueError(f"max_precision_bits must be >= {MIN_PRECISION_BITS}")
-    target = Fraction(target_radius)
-    if target <= 0:
-        raise ValueError("target_radius must be positive")
     coeffs = P.coeffs
-    c0, c1 = coeffs[0], coeffs[1]
-    if n == 1:
-        return (RootEnclosure(-c0, 0, 0, Fraction(0), is_real_certified=True),)
-    if _real_root is None:
-        disc = discriminant(P)
-        if disc == 0:
-            raise NotSquarefree(f"{P.render()} is not squarefree")
-        real = n if disc > 0 else n - 2
-        bound = Fraction(1 + max(map(abs, coeffs)))  # Cauchy's bound on every root
-        lo, hi = (-bound, bound) if c0 else (0, 0)
-    else:
-        real, (lo, hi) = 1, _real_root
+    lo, hi = alpha
     guard = _GUARD_BITS
     half = 1 << (guard + 1)
-    rounded: list[tuple[int, int]] = []
     for prec in _precision_ladder(max_precision_bits):
         k = prec + 8
         m = k + guard
-        if n == 2:
-            rounded = _quadratic_centers(c1 << m, (c1 * c1 - 4 * c0) << 2 * m, half)
-        else:
-            if (hi - lo) * (1 << m) > 1:  # this rung needs a finer bracket
-                lo, hi = bisect_root_dyadic(coeffs, lo, hi, m)
-                if (hi - lo) * (1 << m) > 1:  # a midpoint was the root itself
-                    lo = hi = (lo + hi) / 2
-            mid = (lo + hi) * (1 << m)
-            r = _nearest(mid.numerator, 2 * mid.denominator)  # the root, in units of 2**-m
-            if c0 and not r:
-                continue  # |r| < 2**-m: c0/r needs a finer rung
-            p = (coeffs[2] << m) + r
-            d = p * p + ((c0 << 3 * m + 2) // r if c0 else -c1 << 2 * m + 2)
-            rounded = [(_nearest(r, 1 << guard), 0), *_quadratic_centers(p, d, half)]
-        certified = _certify_stage(coeffs, rounded, k, target, real)
+        if (hi - lo) * (1 << m) > 1:  # this rung needs a finer bracket
+            lo, hi = bisect_root_dyadic(coeffs, lo, hi, m)
+        mid = (lo + hi) * (1 << m)
+        r = _nearest(mid.numerator, 2 * mid.denominator)  # alpha, in units of 2**-m
+        p = (coeffs[2] << m) + r  # a + alpha, in units of 2**-m
+        d = p * p + (-4 << 3 * m) // r  # (a + alpha)**2 - 4/alpha, in units of 2**-2m
+        if d >= 0:
+            continue  # rounding hid the pair's imaginary part: a finer rung shows it
+        re, im = _nearest(-p, half), _nearest(isqrt(-d), half)
+        centers = [(_nearest(r, 1 << guard), 0), (re, im), (re, -im)]
+        certified = _certify_stage(coeffs, centers, k, _TARGET_RADIUS, 1)
         if certified is not None:
             return certified
-    raise PrecisionExhausted(
-        f"could not certify roots of {P.render()} below {max_precision_bits} bits",
-        enclosures=tuple(
-            RootEnclosure(a, b, k, Fraction(1), undecided=True) for a, b in rounded
-        ),
-    )
+    return None

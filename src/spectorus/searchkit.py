@@ -256,6 +256,10 @@ def _oracle_verdict(roots: list[complex], tol: float = 1e-6) -> tuple[bool, bool
     return ok, near
 
 
+# highest degree the float oracle of cross_check handles
+CROSS_CHECK_MAX_DEGREE = 6
+
+
 def cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
     """Re-derive verdicts with the hardware-precision oracle; list disagreements.
 
@@ -263,8 +267,8 @@ def cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
     allowed: the certified route decides exactly where the oracle can only
     guess to within its tolerance.
     """
-    if report.degree > 6:
-        raise ValueError("cross_check supports degree <= 6")
+    if report.degree > CROSS_CHECK_MAX_DEGREE:
+        raise ValueError(f"cross_check supports degree <= {CROSS_CHECK_MAX_DEGREE}")
     accepted_set = {e.poly for e in report.accepted}
     undecided_set = set(report.undecided)
     out: list[dict] = []

@@ -31,7 +31,6 @@ from .intpoly import IntPolynomial, discriminant, power_transform, reverse
 from .rootcert import (
     DEFAULT_PRECISION_CEILING,
     MIN_PRECISION_BITS,
-    PrecisionExhausted,
     RootEnclosure,
     chain_is_squarefree,
     disk_root_count,
@@ -177,12 +176,8 @@ def _accepted(
     a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150 + extra)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi, 160 + extra)
-    # disc < 0 proves P squarefree with one real root, and alpha is bracketed
-    try:
-        encl = isolate_roots(
-            P, Fraction(1, 10**24), max_precision_bits, _real_root=(a_lo, a_hi)
-        )
-    except PrecisionExhausted:
+    encl = isolate_roots(P, (a_lo, a_hi), max_precision_bits)
+    if encl is None:
         return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
     pair = tuple(e for e in encl if not e.is_real_certified)
     return SpectralProfile(P, 2, certification, lam=lam, big_root=big, small_roots=pair)

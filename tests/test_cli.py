@@ -15,7 +15,7 @@ import spectorus.searchkit as searchkit
 import spectorus.spectra as spectra
 from spectorus.cli import _max_precision_bits, main
 from spectorus.intpoly import IntPolynomial
-from spectorus.rootcert import DEFAULT_PRECISION_CEILING, PrecisionExhausted
+from spectorus.rootcert import DEFAULT_PRECISION_CEILING
 from spectorus.spectra import UNDECIDED, SpectralProfile, classify
 
 DEG5 = "x^5 - 2x^4 + x^3 - x^2 + x - 1"
@@ -226,6 +226,17 @@ def test_search_cross_check_writes_stderr_summary(capsys):
     )
     assert code == 0
     assert "cross-check: 0 discrepancies, 0 forbidden" in err
+
+
+def test_search_cross_check_above_degree_six_is_a_usage_error(capsys, tmp_path):
+    # refused before the search runs: no report, no summary, no traceback
+    report = tmp_path / "report.json"
+    argv = ["search", "--degree", "7", "--bound", "1", "--cross-check", "--output", str(report)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus search ") and err.count("usage:") == 1
+    assert err.endswith("spectorus search: error: --cross-check supports degree <= 6\n")
+    assert not report.exists()
 
 
 def test_search_undecided_exits_two(capsys, monkeypatch):
@@ -576,19 +587,6 @@ def test_precision_env_var_bounds_every_classifying_verb(verb, code, monkeypatch
     payload = json.loads(out)
     assert got == code
     assert payload.get("profile", payload)["certification"] == "Undecided"
-
-
-def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):
-    # exit 1 would claim a certified rejection; an escaping
-    # PrecisionExhausted proved nothing, so it is undecided
-    def stub(P, **kwargs):
-        raise PrecisionExhausted("could not certify roots below 4096 bits")
-
-    monkeypatch.setattr(cli, "classify", stub)
-    code, out, err = run_cli(["certify", "x^3 - x - 1"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

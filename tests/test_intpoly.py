@@ -16,7 +16,6 @@ from spectorus.intpoly import (
     parse_poly,
     power_sums,
     power_transform,
-    resultant,
     reverse,
 )
 
@@ -280,15 +279,7 @@ def test_power_transform_multiplicativity(tail, m1, m2):
     assert power_transform(power_transform(P, m1), m2) == power_transform(P, m1 * m2)
 
 
-# ---------------------------------------------------------------- resultants
-
-def test_resultant_linear_vs_quadratic():
-    assert resultant(parse_poly("x - 2"), parse_poly("x^2 - 3")) == 1
-
-
-def test_resultant_shared_root_vanishes():
-    assert resultant(parse_poly("x - 1"), parse_poly("x^2 - 1")) == 0
-
+# ---------------------------------------------------------------- discriminants
 
 def test_discriminant_known_values():
     assert discriminant(GOLDEN) == 5
@@ -298,26 +289,34 @@ def test_discriminant_known_values():
 
 
 def test_discriminant_cubic_formula_agreement():
-    # depressed-cubic style closed form for x^3 + a x^2 + b x + c
-    for a in range(-3, 4):
-        for b in range(-3, 4):
-            c = -1
-            P = IntPolynomial((c, b, a, 1))
-            closed = (
-                18 * a * b * c - 4 * a ** 3 * c + a ** 2 * b ** 2
-                - 4 * b ** 3 - 27 * c ** 2
-            )
-            assert discriminant(P) == closed
+    # the closed form against sympy on every cubic of a box, P(0) = 0 included
+    x = sympy.Symbol("x")
+    for a in range(-10, 11):
+        for b in range(-10, 11):
+            for c in (-1, 0, 1, 2):
+                want = sympy.Poly([1, a, b, c], x).discriminant()
+                assert discriminant(IntPolynomial((c, b, a, 1))) == want, (a, b, c)
+
+
+@pytest.mark.parametrize("text", ["x - 2", "x^4 - x - 1", "2x^3 - x - 1", "2x^2 + 1"])
+def test_discriminant_refuses_other_shapes(text):
+    with pytest.raises(ValueError, match="monic polynomial of degree 2 or 3"):
+        discriminant(parse_poly(text))
+
+
+def monic_polys(min_degree: int, max_degree: int):
+    """Monic polynomials of these degrees, lower coefficients in [-20, 20]."""
+    return st.integers(min_degree, max_degree).flatmap(
+        lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+    ).map(lambda tail: IntPolynomial((*tail, 1)))
 
 
 # differential checks against sympy on monic polynomials of degree 2-6
-MONIC = st.integers(2, 6).flatmap(
-    lambda n: st.lists(st.integers(-20, 20), min_size=n, max_size=n)
-).map(lambda tail: IntPolynomial((*tail, 1)))
+MONIC = monic_polys(2, 6)
 
 
 @settings(derandomize=True, max_examples=150)
-@given(MONIC)
+@given(monic_polys(2, 3))
 def test_discriminant_matches_sympy(P):
     assert discriminant(P) == sympy.Poly(P.coeffs[::-1], sympy.Symbol("x")).discriminant()
 

@@ -24,9 +24,8 @@ from spectorus.exactnum import (
 )
 from spectorus.intpoly import IntPolynomial, parse_poly
 from spectorus.rootcert import (
+    DEFAULT_PRECISION_CEILING,
     MIN_PRECISION_BITS,
-    NotSquarefree,
-    PrecisionExhausted,
     disk_root_count,
     isolate_roots,
     squarefree_by_small_primes,
@@ -357,9 +356,28 @@ def test_disk_root_count_examples():
 
 
 # ---------------------------------------------------------------- enclosures
+# isolate_roots takes the accepted cubic X^3 + aX^2 + bX - 1 with a bracket of
+# its real root, as spectra._accepted does; classify gives the enclosures of
+# every accepted polynomial, quadratics included
+
+PLASTIC_LIKE = [PLASTIC, parse_poly("x^3 - 2x^2 - 1"), parse_poly("x^3 - 2x^2 + x - 1")]
+
+
+def _isolate(P, ceiling=DEFAULT_PRECISION_CEILING):
+    """isolate_roots(P) from a 150-bit bracket of the real root above 1."""
+    bound = Fraction(1 + max(map(abs, P.coeffs)))
+    return isolate_roots(P, bisect_root_dyadic(P.coeffs, Fraction(1), bound, 150), ceiling)
+
+
+def _enclosures(P):
+    """The expanding root's enclosure and the small roots' ones, from classify."""
+    profile = classify(P, allow_gl=True)
+    assert profile.accepted
+    return (profile.big_root, *profile.small_roots)
+
 
 def test_isolate_golden_ratio_squared():
-    enc = sorted(isolate_roots(GOLDEN), key=lambda e: e.re)
+    enc = sorted(_enclosures(GOLDEN), key=lambda e: e.re)
     assert len(enc) == 2
     assert all(e.is_real_certified for e in enc)
     assert enc[1].re == pytest.approx(2.6180339887, abs=1e-9)
@@ -368,7 +386,7 @@ def test_isolate_golden_ratio_squared():
 
 
 def test_isolate_plastic_cubic():
-    enc = sorted(isolate_roots(PLASTIC), key=lambda e: (e.re, e.im))
+    enc = sorted(_isolate(PLASTIC), key=lambda e: (e.re, e.im))
     real = [e for e in enc if e.is_real_certified]
     pair = [e for e in enc if not e.is_real_certified]
     assert len(real) == 1 and len(pair) == 2
@@ -377,21 +395,12 @@ def test_isolate_plastic_cubic():
         assert e.re == pytest.approx(-0.6623589786, abs=1e-9)
         assert abs(e.im) == pytest.approx(0.5622795121, abs=1e-9)
     assert pair[0].im == pytest.approx(-pair[1].im, abs=1e-12)
-
-
-def test_isolate_gaussian_units():
-    enc = sorted(isolate_roots(parse_poly("x^2 + 1")), key=lambda e: e.im)
-    assert [round(e.im) for e in enc] == [-1, 1]
-    assert all(abs(e.re) <= 1e-12 for e in enc)
-    assert not any(e.is_real_certified for e in enc)
-    for e in enc:
-        lo, hi = e.modulus_interval()
-        assert lo <= 1 <= hi
+    assert all(e.radius <= Fraction(1, 10**24) for e in enc)
 
 
 def test_enclosures_are_pairwise_disjoint():
-    for P in (GOLDEN, PLASTIC, parse_poly("x^3 - 2x - 1")):
-        enc = isolate_roots(P)
+    for P in PLASTIC_LIKE:
+        enc = _isolate(P)
         for i in range(len(enc)):
             for j in range(i + 1, len(enc)):
                 a, b = enc[i], enc[j]
@@ -400,37 +409,24 @@ def test_enclosures_are_pairwise_disjoint():
 
 
 def test_real_certified_interval_brackets_center():
-    e = max(isolate_roots(GOLDEN), key=lambda e: e.re)
+    e = classify(GOLDEN).big_root
     lo, hi = e.real_interval()
     assert float(lo) <= e.re <= float(hi)
     assert lo > 2 and hi < 3
 
 
-def test_not_squarefree_raises():
-    with pytest.raises(NotSquarefree):
-        isolate_roots(parse_poly("x^2 - 2x + 1"))
-    with pytest.raises(NotSquarefree):
-        isolate_roots(parse_poly("x^3 - 3x^2 + 3x - 1"))
-
-
 def test_non_monic_and_trivial_degree_rejected():
+    # classify checks its input before any enclosure is built
     with pytest.raises(ValueError):
-        isolate_roots(parse_poly("2x^2 - 1"))
+        classify(parse_poly("2x^2 - 1"))
     with pytest.raises(ValueError):
-        isolate_roots(IntPolynomial((5,)))
-
-
-def test_degree_one_is_exact():
-    (e,) = isolate_roots(parse_poly("x - 7"))
-    assert e.is_real_certified
-    assert e.re == 7.0
-    assert e.radius == 0
+        classify(IntPolynomial((5,)))
 
 
 @pytest.mark.parametrize("bits", [-10, 0, MIN_PRECISION_BITS - 1])
 def test_ceiling_below_first_rung_is_rejected(bits):
     with pytest.raises(ValueError, match=f">= {MIN_PRECISION_BITS}"):
-        isolate_roots(PLASTIC, Fraction(1, 10**25), max_precision_bits=bits)
+        classify(PLASTIC, max_precision_bits=bits)
 
 
 def _certify_stage_without_reuse(coeffs, centers, k, target, total_real):
@@ -470,8 +466,8 @@ def _certify_stage_without_reuse(coeffs, centers, k, target, total_real):
 )
 @pytest.mark.parametrize("target", [Fraction(1, 10**10), Fraction(1, 10**40)])
 def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatch):
-    # isolate_roots stops at degree 3; the oracle isolates these through the
-    # same certify stage
+    # isolate_roots takes only the accepted cubic; the oracle isolates these
+    # through the same certify stage
     P = parse_poly(text)
     real = sturm_real_count(P)
     got = _oracle_isolate(P, target, real)
@@ -480,13 +476,10 @@ def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatc
     assert _oracle_isolate(P, target, real) == got
 
 
-def test_precision_exhaustion_reports_undecided_enclosures():
-    with pytest.raises(PrecisionExhausted) as exc:
-        isolate_roots(PLASTIC, Fraction(1, 10**25), max_precision_bits=60)
-    enc = exc.value.enclosures
-    assert len(enc) == 3
-    assert all(e.undecided for e in enc)
-    assert all(e.to_json()["undecided"] for e in enc)
+def test_isolate_roots_is_none_past_the_ceiling():
+    # the pair needs radius 1e-24, past the first rung (k = 61)
+    assert _isolate(PLASTIC, ceiling=60) is None
+    assert {e.k for e in _isolate(PLASTIC, ceiling=120)} == {128}
 
 
 def test_a_cubic_past_the_float_range_is_isolated():
@@ -494,7 +487,7 @@ def test_a_cubic_past_the_float_range_is_isolated():
     # double, and the pair, of modulus about 10**-200, comes from the
     # quadratic factor
     P = IntPolynomial((-1, 0, -(10**400), 1))
-    enc = isolate_roots(P, Fraction(1, 10**24))
+    enc = _isolate(P)
     (big,) = [e for e in enc if e.is_real_certified]
     assert len(enc) == 3 and all(e.radius <= Fraction(1, 10**24) for e in enc)
     lo, hi = big.real_interval()
@@ -508,7 +501,7 @@ def test_a_cubic_past_the_float_range_is_isolated():
 
 
 def test_enclosure_json_shape():
-    e = max(isolate_roots(GOLDEN), key=lambda e: e.re)
+    e = classify(GOLDEN).big_root
     data = e.to_json()
     assert set(data) == {"re", "im", "radius", "real", "undecided"}
     assert data["real"] is True
@@ -518,40 +511,11 @@ def test_enclosure_json_shape():
 
 # ------------------------------------------------------- cross-route invariants
 
-SAMPLE_POLYS = [
-    GOLDEN,
-    PLASTIC,
-    parse_poly("x^2 + 1"),
-    parse_poly("x^3 - 2x^2 + x - 1"),
-    parse_poly("x^3 - 2x - 1"),  # three real roots
-    parse_poly("x^3 - x"),  # P(0) = 0: the root 0 splits off
-    parse_poly("x^3 + x"),
-]
+SAMPLE_POLYS = [GOLDEN, parse_poly("x^2 - 5x - 1"), *PLASTIC_LIKE]
 
 
-@pytest.mark.parametrize("text", ["x^4 - 2x^3 + x - 1", "x^5 - x^4 - 1", "x^4 + x^3 + x^2 + x + 1"])
-def test_degree_above_three_is_refused(text):
-    with pytest.raises(ValueError, match="degrees 1 to 3"):
-        isolate_roots(parse_poly(text))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x^3 - x",  # P(0) = 0: the root 0 splits off
-        "x^3 + x",
-        "x^3 - 2x - 1",  # three real roots
-        "x^3 - 3x - 1",
-        "x^3 - 7x + 6",  # the bisection meets the root -3 at a midpoint
-        f"x^3 + 1{'0' * 46}x - 1",  # a real root near 1e-46: the first rungs skip
-        "x^2 - 5x + 5",
-        "x^2 + x + 7",
-    ],
-)
-def test_enclosures_hold_the_mpmath_roots(text):
-    # each disk holds exactly one 150-digit root, and is real iff its root is
-    P = parse_poly(text)
-    enc = isolate_roots(P, Fraction(1, 10**30))
+def _assert_hold_the_mpmath_roots(P, enc):
+    assert len(enc) == P.degree
     with mpmath.workdps(150):
         roots = mpmath.polyroots(P.coeffs[::-1], maxsteps=400, extraprec=400)
         for e in enc:
@@ -560,9 +524,45 @@ def test_enclosures_hold_the_mpmath_roots(text):
             assert e.is_real_certified == (abs(mpmath.im(z)) < mpmath.mpf(10) ** -60)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x^3 - x",  # P(0) = 0
+        "x^3 + x",
+        "x^3 - 2x - 1",  # three real roots
+        "x^3 - 3x - 1",
+        "x^3 - 7x + 6",
+        f"x^3 + 1{'0' * 46}x - 1",  # a real root near 1e-46
+        "x^2 - 5x + 5",
+        "x^2 + x + 7",
+    ],
+)
+def test_enclosures_hold_the_mpmath_roots(text):
+    # the certify stage's disks, on the oracle's centers, each hold exactly one
+    # 150-digit root, and are real iff their root is
+    P = parse_poly(text)
+    _assert_hold_the_mpmath_roots(P, _oracle_isolate(P, Fraction(1, 10**30), sturm_real_count(P)))
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        *PLASTIC_LIKE,
+        IntPolynomial((-1, 0, -(10**16), 1)),
+        # a pair of real part 1e-10 and imaginary part 1e-20: at k = 61 the
+        # rounded discriminant of the quadratic factor is >= 0, and the ladder
+        # climbs on
+        IntPolynomial((-1, 2 * 10**10, -(10**20 + 1), 1)),
+    ],
+    ids=str,
+)
+def test_accepted_cubic_enclosures_hold_the_mpmath_roots(P):
+    _assert_hold_the_mpmath_roots(P, _isolate(P))
+
+
 def test_vieta_center_sum_matches_trace():
     for P in SAMPLE_POLYS:
-        enc = isolate_roots(P)
+        enc = _enclosures(P)
         total = sum(e.center for e in enc)
         slack = sum(float(e.radius) for e in enc) + 1e-12
         assert abs(total - (-P.coeffs[-2])) <= slack
@@ -570,7 +570,7 @@ def test_vieta_center_sum_matches_trace():
 
 def test_modulus_product_brackets_constant_term():
     for P in SAMPLE_POLYS:
-        enc = isolate_roots(P)
+        enc = _enclosures(P)
         lo = hi = Fraction(1)
         for e in enc:
             mlo, mhi = e.modulus_interval()
@@ -580,18 +580,8 @@ def test_modulus_product_brackets_constant_term():
 
 def test_sturm_count_agrees_with_certified_enclosures():
     for P in SAMPLE_POLYS:
-        enc = isolate_roots(P)
+        enc = _enclosures(P)
         assert sum(e.is_real_certified for e in enc) == sturm_real_count(P)
-
-
-def test_enclosures_tighten_with_target():
-    # 1e-6 certifies on the first rung (k = 61), 1e-30 needs the next (k = 128)
-    coarse = isolate_roots(PLASTIC, Fraction(1, 10**6))
-    fine = isolate_roots(PLASTIC, Fraction(1, 10**30))
-    assert {e.k for e in coarse} == {MIN_PRECISION_BITS + 8}
-    assert {e.k for e in fine} == {128}
-    assert max(e.radius for e in fine) < max(e.radius for e in coarse)
-    assert max(e.radius for e in fine) <= Fraction(1, 10**30)
 
 
 # ------------------------------------------------- float and mpmath Newton oracle

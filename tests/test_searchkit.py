@@ -1,6 +1,7 @@
 """Exhaustive search: enumeration, sharded determinism, reports, oracle cross-check."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -138,6 +139,24 @@ def test_canonical_json_excludes_wall_time():
     parsed = json.loads(text)
     assert parsed["degree"] == 2
     assert parsed["candidate_count"] == 7
+
+
+# the report bytes of the benchmark boxes, pinned: a change that moves any
+# verdict, enclosure, lambda interval or replay step of these moves a hash
+CANONICAL_SHA256 = {
+    (4, 8): "7258da223b8a570aeb1aaaff75f215fcb3c2c8da1d28c3d8b0e1321786839256",
+    (5, 4): "de340f566eccf24721f52c9f1179871fd5792972ece9a3fcbe8c0aeb21b1284f",
+    (6, 3): "d4039967f6af8dda3e6bbb93e98ee218d31bd159b0f2feb888e5cebe6bb9b23b",
+    (2, 400): "26f7826e1f3088ef66c3d294312c2b6bb783c4c00cacafe46dc3465eee3ee1df",
+    (3, 25): "25e8ca57c4a98a58b919ff56dbaa99993987a83eb656a8cd0788f7957483f5ec",
+    (3, 40): "47c624875f602cef70689fba32134675922bf48dba959358e0af0f5e3940fd53",
+}
+
+
+@pytest.mark.parametrize("degree, bound", CANONICAL_SHA256)
+def test_canonical_json_bytes_are_pinned(degree, bound):
+    text = search(degree, bound).canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[degree, bound]
 
 
 def test_accepted_entries_serialize_with_profiles_and_replays():

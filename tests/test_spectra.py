@@ -113,8 +113,8 @@ def test_exact_q2_plastic_cubic():
 
 
 def test_exact_q2_builds_no_sturm_chain(monkeypatch):
-    # disc < 0 already proves one real root; isolate_roots is told so, with
-    # the real root's bracket, and neither builds a chain nor recomputes disc
+    # disc < 0 already proves one real root; the pair is isolated from the
+    # real root's bracket without a chain or a second discriminant
     import spectorus.rootcert as rootcert
 
     expected = exact_test_q2(PLASTIC).to_json()
@@ -122,13 +122,17 @@ def test_exact_q2_builds_no_sturm_chain(monkeypatch):
     def refuse(*args):
         raise AssertionError("exact_test_q2 repeated a proof")
 
-    for module, name in (
-        (rootcert, "sturm_chain"),
-        (spectra, "sturm_chain"),
-        (rootcert, "discriminant"),
-    ):
-        monkeypatch.setattr(module, name, refuse)
+    calls = []
+
+    def counting(P):
+        calls.append(P)
+        return discriminant(P)
+
+    monkeypatch.setattr(rootcert, "sturm_chain", refuse)
+    monkeypatch.setattr(spectra, "sturm_chain", refuse)
+    monkeypatch.setattr(spectra, "discriminant", counting)
     assert exact_test_q2(PLASTIC).to_json() == expected
+    assert calls == [PLASTIC]
 
 
 def test_exact_q2_past_the_float_range():
