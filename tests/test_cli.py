@@ -176,6 +176,17 @@ def test_certify_cubic_honours_the_precision_ceiling(capsys):
     assert (code, out) == run_cli(["certify", "x^3 - x - 1"], capsys)[:2]
 
 
+def test_precision_exhaustion_exits_undecided(capsys, monkeypatch):
+    # exit 1 would claim a certified rejection; enclosures not found below
+    # the ceiling prove nothing, so the verdict is undecided
+    monkeypatch.setattr(spectra, "isolate_roots", lambda *args: None)
+    code, out, err = run_cli(["certify", "x^3 - x - 1"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    jsonschema.validate(payload, load_schema("profile.schema.json"))
+    assert (payload["certification"], payload["reason"]) == ("Undecided", "precision_ceiling")
+    assert "Traceback" not in err
+
 def test_semantic_argument_errors_exit_three(capsys):
     # valid syntax, but the library rejects the value
     assert run_cli(["certify", "x - 2"], capsys)[0] == 3

@@ -35,7 +35,7 @@ from spectorus.rootcert import (
     variations_at,
     variations_at_infinity,
 )
-from spectorus.spectra import classify
+from spectorus.spectra import PRECISION_CEILING, UNDECIDED, classify
 
 from isolation_oracle import oracle_isolate as _oracle_isolate, sturm_real_count
 
@@ -476,10 +476,26 @@ def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatc
     assert _oracle_isolate(P, target, real) == got
 
 
-def test_isolate_roots_is_none_past_the_ceiling():
-    # the pair needs radius 1e-24, past the first rung (k = 61)
+def test_precision_exhaustion_reports_undecided_enclosures():
+    # the pair needs radius 1e-24, past the first rung (k = 61): no
+    # enclosures, and the verdict is undecided rather than a rejection
     assert _isolate(PLASTIC, ceiling=60) is None
+    profile = classify(PLASTIC, max_precision_bits=60)
+    assert (profile.certification, profile.reason) == (UNDECIDED, PRECISION_CEILING)
+    assert profile.big_root is None and profile.small_roots == ()
     assert {e.k for e in _isolate(PLASTIC, ceiling=120)} == {128}
+
+
+def test_enclosures_tighten_with_target(monkeypatch):
+    # 1e-6 certifies on the float rung (k = 61), 1e-24 needs the next (k = 128)
+    monkeypatch.setattr(rootcert, "_TARGET_RADIUS", Fraction(1, 10**6))
+    coarse = _isolate(PLASTIC)
+    monkeypatch.undo()
+    fine = _isolate(PLASTIC)
+    assert {e.k for e in coarse} == {MIN_PRECISION_BITS + 8}
+    assert {e.k for e in fine} == {128}
+    assert max(e.radius for e in fine) < max(e.radius for e in coarse)
+    assert max(e.radius for e in fine) <= Fraction(1, 10**24)
 
 
 def test_a_cubic_past_the_float_range_is_isolated():
