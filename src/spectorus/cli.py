@@ -61,12 +61,16 @@ def _max_precision_bits(flag: int | None = None) -> int:
         ) from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
+def _emit(parser: _Parser, text: str, output: str | None) -> None:
+    """Write text to the file output, else to stdout; an unwritable file is a usage error."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {output}: {exc.strerror or exc}")
 
 
 def _dump(obj) -> str:
@@ -153,10 +157,9 @@ def _cmd_search(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = report.canonical_json() + "\n"
-    _emit(payload, args.output)
+    _emit(parser, payload, args.output)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
+        _emit(parser, report.to_csv(), args.csv)
     if args.cross_check:
         disc = cross_check(report)
         sys.stderr.write(
@@ -191,7 +194,7 @@ def _cmd_certify(parser: _Parser, args) -> int:
     prof = _classify(
         parser, P, args.max_precision_bits, allow_gl=args.gl, force_interval=args.force_interval
     )
-    _emit(_dump(prof.to_json()), args.output)
+    _emit(parser, _dump(prof.to_json()), args.output)
     return _VERDICT_EXIT.get(prof.certification, EXIT_OK)
 
 
@@ -203,7 +206,7 @@ def _cmd_replay(parser: _Parser, args) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     payload = {"profile": prof.to_json(), "replay": report.to_json()}
-    _emit(_dump(payload), args.output)
+    _emit(parser, _dump(payload), args.output)
     return EXIT_OK
 
 
@@ -218,7 +221,7 @@ def _classify_accepted(parser: _Parser, args):
     code = _VERDICT_EXIT.get(prof.certification, EXIT_OK)
     if code != EXIT_OK:
         error = "rejected" if code == EXIT_REJECTED else "undecided"
-        _emit(_dump({"error": error, "profile": prof.to_json()}), args.output)
+        _emit(parser, _dump({"error": error, "profile": prof.to_json()}), args.output)
     return P, prof, code
 
 
@@ -247,7 +250,7 @@ def _cmd_build(parser: _Parser, args) -> int:
         },
         "profile": prof.to_json(),
     }
-    _emit(_dump(payload), args.output)
+    _emit(parser, _dump(payload), args.output)
     return EXIT_OK
 
 
@@ -265,7 +268,7 @@ def _cmd_verify_torus(parser: _Parser, args) -> int:
         report = verify_torus_report(P, samples=args.samples, seed=args.seed, profile=prof)
     except (ArithmeticError, ValueError) as exc:
         return _geometry_failed(parser, exc)
-    _emit(_dump(report), args.output)
+    _emit(parser, _dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 
 
@@ -279,7 +282,7 @@ def _cmd_verify_ot(parser: _Parser, args) -> int:
         report = verify_ot_report(args.s, samples=args.samples, seed=args.seed, step_rel=step_rel)
     except ValueError as exc:
         parser.error(str(exc))
-    _emit(_dump(report), args.output)
+    _emit(parser, _dump(report), args.output)
     return EXIT_OK if all(report["passes"].values()) else EXIT_REJECTED
 
 
@@ -295,7 +298,7 @@ def _cmd_factor(parser: _Parser, args) -> int:
         "rendered": [f.render() for f in factors],
         "irreducible": len(factors) == 1,
     }
-    _emit(_dump(payload), args.output)
+    _emit(parser, _dump(payload), args.output)
     return EXIT_OK
 
 

@@ -443,8 +443,8 @@ def verify_torus_report(
     profile: SpectralProfile | None = None,
 ) -> dict:
     """One-shot verification bundle for an accepted polynomial."""
-    cert = build_certificate(P, profile)
-    model = MappingTorusModel(cert=cert, q=cert.q, phi_exponent=2 * cert.q + 2)
+    model = build_model(P, profile)
+    cert = model.cert
     rng = np.random.default_rng(seed)
     pts = [
         np.concatenate([rng.uniform(-1, 1, cert.q + 1), [math.exp(rng.uniform(-0.7, 0.7))]])

@@ -1,12 +1,12 @@
 """Certified complex root enclosures and exact real-root counting.
 
-The roots of an accepted cubic X**3 + a*X**2 + b*X - 1 are found in closed
-form: its real root by exact bisection, its conjugate pair by the quadratic
-formula with integer square roots. An a-posteriori certification step in the
-same integer arithmetic bounds each center, so every returned disk provably
-contains exactly one root. Real-root counts come from integer Sturm chains
-or Descartes' rule, and root counts in a disk from the Schur-Cohn recursion:
-no floating point.
+The conjugate pair of an accepted cubic X**3 + a*X**2 + b*X - 1 is found in
+closed form: the quadratic formula, with integer square roots, on the factor
+left by its real root, which exact bisection brackets. One a-posteriori
+radius in the same integer arithmetic, on a disk that stays off the real
+axis, proves that each returned disk contains exactly one root. Real-root
+counts come from integer Sturm chains or Descartes' rule, and root counts in
+a disk from the Schur-Cohn recursion: no floating point.
 """
 from __future__ import annotations
 
@@ -273,63 +273,30 @@ def _nearest(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _certify_stage(
-    coeffs: tuple[int, ...],
-    centers: list[tuple[int, int]],
-    k: int,
-    target: Fraction,
-    total_real: int,
-) -> tuple[RootEnclosure, ...] | None:
-    """Try to certify one enclosure per center; None means escalate.
+def _certify_pair(
+    coeffs: tuple[int, ...], a: int, b: int, k: int
+) -> tuple[RootEnclosure, RootEnclosure] | None:
+    """The disks of the cubic's conjugate pair about (a +- b*i)/2**k, lower first,
+    or None: escalate.
 
-    All checks run in integer arithmetic at the common dyadic scale 2**k;
-    each certified radius is an integer numerator over 2**k.
+    P'/P(c) = sum 1/(c - z) over the roots z, so the closed disk about c of
+    radius 3*|P(c)/P'(c)| holds a root (Henrici, Applied and Computational
+    Complex Analysis I). A disk strictly above the real axis holds the one
+    non-real root of P there; its mirror holds the conjugate. The radius is an
+    integer numerator over 2**k, shared by both disks.
     """
-    n = len(coeffs) - 1
-    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
-    t_num, t_den = target.numerator, target.denominator
-    disks: list[list[int]] = []  # [a, b, r_num, real]
-    # integer coefficients give |P(conj c)| = |P(c)| and |P'(conj c)| = |P'(c)|,
-    # so the conjugate of a certified center reuses its radius exactly
-    radii: dict[tuple[int, int], int] = {}
-    for a, b in centers:
-        r_num = radii.get((a, -b))
-        if r_num is None:
-            vr, vi, _ = dyadic_eval(coeffs, a, b, k)
-            dr, di, _ = dyadic_eval(der, a, b, k)
-            lo_d = isqrt(dr * dr + di * di)
-            if lo_d == 0:
-                return None
-            up_p = isqrt_ceil(vr * vr + vi * vi)
-            # radius <= n*up_p/(lo_d*2**k): scales of P and P' differ by exactly 2**k
-            r_num = -(-n * up_p // lo_d)
-            if r_num * t_den > t_num << k:
-                return None
-            radii[(a, b)] = r_num
-        disks.append([a, b, r_num, False])
-
-    # reality certification: disks meeting the real axis must match the exact count
-    touchers = [d for d in disks if abs(d[1]) <= d[2]]
-    if len(touchers) != total_real:
+    vr, vi, _ = dyadic_eval(coeffs, a, b, k)
+    dr, di, _ = dyadic_eval((coeffs[1], 2 * coeffs[2], 3), a, b, k)
+    lo_d = isqrt(dr * dr + di * di)
+    if lo_d == 0:
         return None
-    for d in touchers:
-        d[1] = 0
-        d[3] = True
-
-    # pairwise disjointness, exact
-    for i in range(len(disks)):
-        ai, bi, ri, _ = disks[i]
-        for j in range(i + 1, len(disks)):
-            aj, bj, rj, _ = disks[j]
-            da, db, rr = ai - aj, bi - bj, ri + rj
-            if da * da + db * db <= rr * rr:
-                return None
-    disks.sort(key=lambda d: (d[0], d[1]))
-    den = 1 << k
-    return tuple(
-        RootEnclosure(a, b, k, Fraction(r, den), is_real_certified=real)
-        for a, b, r, real in disks
-    )
+    # r_num/2**k >= 3*|P(c)|/|P'(c)|: scales of P and P' differ by exactly 2**k
+    r_num = -(-3 * isqrt_ceil(vr * vr + vi * vi) // lo_d)
+    target = _TARGET_RADIUS
+    if b <= r_num or r_num * target.denominator > target.numerator << k:
+        return None
+    radius = Fraction(r_num, 1 << k)
+    return RootEnclosure(a, -b, k, radius), RootEnclosure(a, b, k, radius)
 
 
 def _precision_ladder(ceiling: int) -> list[int]:
@@ -344,18 +311,18 @@ def _precision_ladder(ceiling: int) -> list[int]:
 
 def isolate_roots(
     P: IntPolynomial, alpha: tuple[Fraction, Fraction], max_precision_bits: int
-) -> tuple[RootEnclosure, ...] | None:
-    """The three certified disks of an accepted X**3 + a*X**2 + b*X - 1, or None
-    past max_precision_bits.
+) -> tuple[RootEnclosure, RootEnclosure] | None:
+    """The certified disks of the conjugate pair of an accepted
+    X**3 + a*X**2 + b*X - 1, lower member first, or None past max_precision_bits.
 
-    alpha brackets the real root, the only one. The centers are closed forms
-    at scale 2**-(k + 20), rounded once to 2**-k: alpha, bisected to that
-    scale, and the pair (-(a + alpha) +- i*sqrt(4/alpha - (a + alpha)**2))/2,
-    the roots of the factor X**2 + (a + alpha)*X + 1/alpha. The disk radius is
-    the a-posteriori bound 3*|P(c)|/|P'(c)| evaluated exactly at a center c;
-    disjointness then pins exactly one root per disk. k climbs the precision
-    ladder until every radius is below 1e-24. alpha is irrational: a rational
-    root would be +-1, and P(1) = a + b < 0, so no bisection midpoint is a root.
+    alpha brackets the real root, the only one. The pair is
+    (-(a + alpha) +- i*sqrt(4/alpha - (a + alpha)**2))/2, the roots of the
+    factor X**2 + (a + alpha)*X + 1/alpha, computed at scale 2**-(k + 20) from
+    alpha bisected to that scale and rounded once to 2**-k. _certify_pair
+    proves the upper center's disk off the real axis, so each disk holds
+    exactly one root. k climbs the precision ladder until the radius is below
+    1e-24. alpha is irrational: a rational root would be +-1, and
+    P(1) = a + b < 0, so no bisection midpoint is a root.
     """
     coeffs = P.coeffs
     lo, hi = alpha
@@ -372,9 +339,7 @@ def isolate_roots(
         d = p * p + (-4 << 3 * m) // r  # (a + alpha)**2 - 4/alpha, in units of 2**-2m
         if d >= 0:
             continue  # rounding hid the pair's imaginary part: a finer rung shows it
-        re, im = _nearest(-p, half), _nearest(isqrt(-d), half)
-        centers = [(_nearest(r, 1 << guard), 0), (re, im), (re, -im)]
-        certified = _certify_stage(coeffs, centers, k, _TARGET_RADIUS, 1)
-        if certified is not None:
-            return certified
+        pair = _certify_pair(coeffs, _nearest(-p, half), _nearest(isqrt(-d), half), k)
+        if pair is not None:
+            return pair
     return None

@@ -168,6 +168,7 @@ def search(
         (degree, bound, det_one, lead, max_precision_bits)
         for lead in range(-bound, bound + 1)
     ]
+    workers = min(workers, len(shards))  # one shard per worker at most
     if workers == 1:
         results = [_run_shard(s) for s in shards]
     else:

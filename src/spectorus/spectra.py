@@ -157,9 +157,9 @@ def _accepted(
 
     q = 1: X**2 - t*X + c0 with c0 = +-1 and lambda = (t + sqrt(t**2 - 4*c0))/2.
     q = 2: X**3 + a*X**2 + b*X - 1 with one real root alpha > 1 and a pair of
-    modulus 1/lambda, lambda = sqrt(alpha). The pair is the root pair of
-    X**2 + (a + alpha)*X + 1/alpha, from alpha's bracket; its enclosures need
-    max_precision_bits, past which the verdict is Undecided / precision_ceiling.
+    modulus 1/lambda, lambda = sqrt(alpha). isolate_roots encloses the pair,
+    lower member first, from alpha's bracket; past max_precision_bits the
+    verdict is Undecided / precision_ceiling.
     """
     bound = 1 + max(abs(c) for c in P.coeffs)  # Cauchy's bound on every root
     extra = _extra_bits(bound)
@@ -176,10 +176,9 @@ def _accepted(
     a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150 + extra)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi, 160 + extra)
-    encl = isolate_roots(P, (a_lo, a_hi), max_precision_bits)
-    if encl is None:
+    pair = isolate_roots(P, (a_lo, a_hi), max_precision_bits)
+    if pair is None:
         return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
-    pair = tuple(e for e in encl if not e.is_real_certified)
     return SpectralProfile(P, 2, certification, lam=lam, big_root=big, small_roots=pair)
 
 

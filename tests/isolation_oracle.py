@@ -3,15 +3,20 @@
 The route that the exact Newton steps, and then the closed forms of
 rootcert.isolate_roots, replaced: eigenvalue seeds after two hardware Newton
 steps, four mpmath Newton steps per later rung, mpmath.polyroots for missing
-or coinciding seeds, and rootcert's certify stage at the same scale 2**-k.
+or coinciding seeds, and a certify stage of its own at the same scale 2**-k.
+That stage takes every root, real ones included: it matches the disks that
+meet the real axis with the Sturm count and tests every pair of disks for
+overlap, where rootcert proves only the accepted cubic's pair off the axis.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import numpy as np
 
 import spectorus.rootcert as rootcert
+from spectorus.exactnum import dyadic_eval, isqrt_ceil
 
 
 def sturm_real_count(P):
@@ -89,6 +94,37 @@ def _oracle_dyadic_center(value, k):
     return round(Fraction(-man if sign else man) * Fraction(2) ** exp * (1 << k))
 
 
+def oracle_certify_stage(coeffs, centers, k, target, total_real):
+    """Reference certify stage that evaluates P and P' at every center."""
+    n = len(coeffs) - 1
+    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
+    disks = []
+    for a, b in centers:
+        vr, vi, _ = dyadic_eval(coeffs, a, b, k)
+        dr, di, _ = dyadic_eval(der, a, b, k)
+        lo_d = isqrt(dr * dr + di * di)
+        if lo_d == 0:
+            return None
+        r_num = -(-n * isqrt_ceil(vr * vr + vi * vi) // lo_d)
+        if Fraction(r_num, 1 << k) > target:
+            return None
+        disks.append([a, b, r_num, False])
+    touchers = [d for d in disks if abs(d[1]) <= d[2]]
+    if len(touchers) != total_real:
+        return None
+    for d in touchers:
+        d[1], d[3] = 0, True
+    for i, (ai, bi, ri, _) in enumerate(disks):
+        for aj, bj, rj, _ in disks[i + 1 :]:
+            if (ai - aj) ** 2 + (bi - bj) ** 2 <= (ri + rj) ** 2:
+                return None
+    disks.sort(key=lambda d: (d[0], d[1]))
+    return tuple(
+        rootcert.RootEnclosure(a, b, k, Fraction(r, 1 << k), is_real_certified=real)
+        for a, b, r, real in disks
+    )
+
+
 def oracle_isolate(P, target, real_count, ceiling=rootcert.DEFAULT_PRECISION_CEILING):
     """Certified enclosures of the roots of monic P, any degree, or None past the ceiling."""
     coeffs = P.coeffs
@@ -116,7 +152,7 @@ def oracle_isolate(P, target, real_count, ceiling=rootcert.DEFAULT_PRECISION_CEI
                 (_oracle_dyadic_center(z.real, k), _oracle_dyadic_center(z.imag, k))
                 for z in polished
             ]
-        certified = rootcert._certify_stage(coeffs, centers, k, target, real_count)
+        certified = oracle_certify_stage(coeffs, centers, k, target, real_count)
         if certified is not None:
             return certified
         prev_k = k

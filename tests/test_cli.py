@@ -250,6 +250,17 @@ def test_search_cross_check_above_degree_six_is_a_usage_error(capsys, tmp_path):
     assert not report.exists()
 
 
+def test_search_unwritable_csv_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would claim a certified rejection; the report file is written first
+    report, table = tmp_path / "report.json", tmp_path / "missing" / "x.csv"
+    argv = ["search", "--degree", "2", "--bound", "2", "--output", str(report), "--csv", str(table)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus search ") and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith(f"spectorus search: error: cannot write {table}: ")
+    assert report.exists() and not table.exists()
+
+
 def test_search_undecided_exits_two(capsys, monkeypatch):
     target = IntPolynomial((1, -3, 1))
     real_classify = searchkit.classify
@@ -292,6 +303,15 @@ def test_certify_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["accepted"] is True
+
+
+@pytest.mark.parametrize("missing", [True, False], ids=["missing-directory", "a-directory"])
+def test_certify_unwritable_output_is_a_usage_error(missing, tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json" if missing else tmp_path
+    code, out, err = run_cli(["certify", "x^3 - x - 1", "--output", str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("usage: spectorus certify ") and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith(f"spectorus certify: error: cannot write {path}: ")
 
 
 # ---------------------------------------------------------------- replay

@@ -1,7 +1,6 @@
 """Certified root enclosures, exact Sturm counts, and the dyadic helpers under them."""
 
 from fractions import Fraction
-from math import isqrt
 
 import mpmath
 import numpy as np
@@ -37,7 +36,11 @@ from spectorus.rootcert import (
 )
 from spectorus.spectra import PRECISION_CEILING, UNDECIDED, classify
 
-from isolation_oracle import oracle_isolate as _oracle_isolate, sturm_real_count
+from isolation_oracle import (
+    oracle_certify_stage,
+    oracle_isolate as _oracle_isolate,
+    sturm_real_count,
+)
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
@@ -357,16 +360,22 @@ def test_disk_root_count_examples():
 
 # ---------------------------------------------------------------- enclosures
 # isolate_roots takes the accepted cubic X^3 + aX^2 + bX - 1 with a bracket of
-# its real root, as spectra._accepted does; classify gives the enclosures of
-# every accepted polynomial, quadratics included
+# its real root, as spectra._accepted does, and returns the pair's disks;
+# classify gives the real root's enclosure, and the enclosures of every
+# accepted polynomial, quadratics included
 
 PLASTIC_LIKE = [PLASTIC, parse_poly("x^3 - 2x^2 - 1"), parse_poly("x^3 - 2x^2 + x - 1")]
 
 
 def _isolate(P, ceiling=DEFAULT_PRECISION_CEILING):
-    """isolate_roots(P) from a 150-bit bracket of the real root above 1."""
+    """isolate_roots(P) from a 150-bit bracket of the real root above 1: the pair."""
     bound = Fraction(1 + max(map(abs, P.coeffs)))
     return isolate_roots(P, bisect_root_dyadic(P.coeffs, Fraction(1), bound, 150), ceiling)
+
+
+def _cubic_roots(P):
+    """The real root's enclosure from classify, then the pair's from isolate_roots."""
+    return (classify(P).big_root, *_isolate(P))
 
 
 def _enclosures(P):
@@ -386,7 +395,7 @@ def test_isolate_golden_ratio_squared():
 
 
 def test_isolate_plastic_cubic():
-    enc = sorted(_isolate(PLASTIC), key=lambda e: (e.re, e.im))
+    enc = sorted(_cubic_roots(PLASTIC), key=lambda e: (e.re, e.im))
     real = [e for e in enc if e.is_real_certified]
     pair = [e for e in enc if not e.is_real_certified]
     assert len(real) == 1 and len(pair) == 2
@@ -400,7 +409,7 @@ def test_isolate_plastic_cubic():
 
 def test_enclosures_are_pairwise_disjoint():
     for P in PLASTIC_LIKE:
-        enc = _isolate(P)
+        enc = _cubic_roots(P)
         for i in range(len(enc)):
             for j in range(i + 1, len(enc)):
                 a, b = enc[i], enc[j]
@@ -429,51 +438,22 @@ def test_ceiling_below_first_rung_is_rejected(bits):
         classify(PLASTIC, max_precision_bits=bits)
 
 
-def _certify_stage_without_reuse(coeffs, centers, k, target, total_real):
-    """Reference certify stage that evaluates P and P' at every center."""
-    n = len(coeffs) - 1
-    der = tuple(j * c for j, c in enumerate(coeffs))[1:]
-    disks = []
-    for a, b in centers:
-        vr, vi, _ = dyadic_eval(coeffs, a, b, k)
-        dr, di, _ = dyadic_eval(der, a, b, k)
-        lo_d = isqrt(dr * dr + di * di)
-        if lo_d == 0:
-            return None
-        r_num = -(-n * isqrt_ceil(vr * vr + vi * vi) // lo_d)
-        if Fraction(r_num, 1 << k) > target:
-            return None
-        disks.append([a, b, r_num, False])
-    touchers = [d for d in disks if abs(d[1]) <= d[2]]
-    if len(touchers) != total_real:
-        return None
-    for d in touchers:
-        d[1], d[3] = 0, True
-    for i, (ai, bi, ri, _) in enumerate(disks):
-        for aj, bj, rj, _ in disks[i + 1 :]:
-            if (ai - aj) ** 2 + (bi - bj) ** 2 <= (ri + rj) ** 2:
-                return None
-    disks.sort(key=lambda d: (d[0], d[1]))
-    return tuple(
-        rootcert.RootEnclosure(a, b, k, Fraction(r, 1 << k), is_real_certified=real)
-        for a, b, r, real in disks
-    )
-
-
 @pytest.mark.parametrize(
     "text",
     ["x^4 + x + 1", "x^5 - x - 1", "x^6 + x + 1", "x^7 - x^3 - 1", "x^8 - 2x^5 + x^2 + 3x - 1"],
 )
 @pytest.mark.parametrize("target", [Fraction(1, 10**10), Fraction(1, 10**40)])
-def test_conjugate_radius_reuse_matches_full_evaluation(text, target, monkeypatch):
-    # isolate_roots takes only the accepted cubic; the oracle isolates these
-    # through the same certify stage
+def test_conjugate_radius_reuse_matches_full_evaluation(text, target):
+    # _certify_pair gives the lower disk the radius it finds at the upper
+    # center: integer coefficients give |P(conj c)| = |P(c)| and
+    # |P'(conj c)| = |P'(c)|. The oracle, which evaluates at every center,
+    # finds the same radius at the mirror of each of its upper disks
     P = parse_poly(text)
-    real = sturm_real_count(P)
-    got = _oracle_isolate(P, target, real)
-    assert sum(e.b > 0 for e in got) >= 2  # several conjugate pairs
-    monkeypatch.setattr(rootcert, "_certify_stage", _certify_stage_without_reuse)
-    assert _oracle_isolate(P, target, real) == got
+    upper = [e for e in _oracle_isolate(P, target, sturm_real_count(P)) if e.b > 0]
+    assert len(upper) >= 2  # several conjugate pairs
+    for e in upper:
+        (mirror,) = oracle_certify_stage(P.coeffs, [(e.a, -e.b)], e.k, target, 0)
+        assert (mirror.a, mirror.b, mirror.radius) == (e.a, -e.b, e.radius)
 
 
 def test_precision_exhaustion_reports_undecided_enclosures():
@@ -503,7 +483,8 @@ def test_a_cubic_past_the_float_range_is_isolated():
     # double, and the pair, of modulus about 10**-200, comes from the
     # quadratic factor
     P = IntPolynomial((-1, 0, -(10**400), 1))
-    enc = _isolate(P)
+    pair = _isolate(P)
+    enc = (classify(P).big_root, *pair)
     (big,) = [e for e in enc if e.is_real_certified]
     assert len(enc) == 3 and all(e.radius <= Fraction(1, 10**24) for e in enc)
     lo, hi = big.real_interval()
@@ -513,7 +494,43 @@ def test_a_cubic_past_the_float_range_is_isolated():
         m_lo, m_hi = e.modulus_interval()
         lo, hi = lo * m_lo, hi * m_hi
     assert lo <= 1 <= hi
-    assert {e.k for e in enc} == {968}
+    assert {e.k for e in pair} == {968}
+
+
+def _upper_center(P, k):
+    """The root of P above the real axis, rounded to scale 2**-k."""
+    with mpmath.workdps(100):
+        roots = mpmath.polyroots(P.coeffs[::-1], maxsteps=400, extraprec=400)
+        (z,) = [z for z in roots if mpmath.im(z) > 0]
+        return int(mpmath.nint(z.real * 2**k)), int(mpmath.nint(z.imag * 2**k))
+
+
+def test_pair_check_refuses_a_disk_that_meets_the_real_axis(monkeypatch):
+    # with a target of 10 only the axis test can refuse: the disk about the
+    # root's center lies above the axis, the one about a center moved down to
+    # 2**-61 is as wide as its distance to the root and meets the axis
+    monkeypatch.setattr(rootcert, "_TARGET_RADIUS", Fraction(10))
+    a, b = _upper_center(PLASTIC, 61)
+    assert rootcert._certify_pair(PLASTIC.coeffs, a, b, 61) is not None
+    assert rootcert._certify_pair(PLASTIC.coeffs, a, 1, 61) is None
+
+
+def test_pair_check_refuses_a_rung_too_coarse_for_the_target(monkeypatch):
+    # rounding the root to 2**-61 alone leaves a radius near 1e-18
+    a, b = _upper_center(PLASTIC, 61)
+    assert rootcert._certify_pair(PLASTIC.coeffs, a, b, 61) is None
+    monkeypatch.setattr(rootcert, "_TARGET_RADIUS", Fraction(1, 10**6))
+    assert rootcert._certify_pair(PLASTIC.coeffs, a, b, 61) is not None
+
+
+def test_pair_check_returns_the_conjugate_disks_lower_first():
+    a, b = _upper_center(PLASTIC, 128)
+    lower, upper = rootcert._certify_pair(PLASTIC.coeffs, a, b, 128)
+    assert b > 0
+    assert (lower.a, lower.b, lower.k) == (a, -b, 128)
+    assert (upper.a, upper.b, upper.k) == (a, b, 128)
+    assert lower.radius == upper.radius <= Fraction(1, 10**24)
+    assert not lower.is_real_certified and not upper.is_real_certified
 
 
 def test_enclosure_json_shape():
@@ -554,8 +571,8 @@ def _assert_hold_the_mpmath_roots(P, enc):
     ],
 )
 def test_enclosures_hold_the_mpmath_roots(text):
-    # the certify stage's disks, on the oracle's centers, each hold exactly one
-    # 150-digit root, and are real iff their root is
+    # the oracle's disks each hold exactly one 150-digit root, and are real
+    # iff their root is
     P = parse_poly(text)
     _assert_hold_the_mpmath_roots(P, _oracle_isolate(P, Fraction(1, 10**30), sturm_real_count(P)))
 
@@ -573,7 +590,7 @@ def test_enclosures_hold_the_mpmath_roots(text):
     ids=str,
 )
 def test_accepted_cubic_enclosures_hold_the_mpmath_roots(P):
-    _assert_hold_the_mpmath_roots(P, _isolate(P))
+    _assert_hold_the_mpmath_roots(P, _cubic_roots(P))
 
 
 def test_vieta_center_sum_matches_trace():

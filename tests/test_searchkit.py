@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ def test_search_reports_identical_across_worker_counts():
     multi = search(4, 1, workers=3)
     assert solo.canonical_json() == multi.canonical_json()
     assert solo.to_json() == multi.to_json()
+
+
+def test_search_starts_at_most_one_worker_per_shard(monkeypatch):
+    # bound 1 has 3 shards; the fake pool records its size and maps in this
+    # process, so no process starts
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(searchkit, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    wide = search(2, 1, workers=64)
+    assert sizes == [3]
+    assert wide.canonical_json() == search(2, 1, workers=1).canonical_json()
 
 
 def test_canonical_json_excludes_wall_time():
