@@ -73,6 +73,18 @@ def _emit(parser: _Parser, text: str, output: str | None) -> None:
         parser.error(f"cannot write {output}: {exc.strerror or exc}")
 
 
+def _check_writable(parser: _Parser, path: str) -> None:
+    """A usage error unless path opens for writing; creates and changes no file."""
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.unlink(path)
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))  # no O_TRUNC: the file keeps its bytes
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -142,10 +154,14 @@ def build_parser() -> _Parser:
 
 
 def _cmd_search(parser: _Parser, args) -> int:
-    from .searchkit import CROSS_CHECK_MAX_DEGREE, cross_check, search
+    from .searchkit import CROSS_CHECK_MAX_DEGREE, acceptance_discrepancies, cross_check, search
 
     if args.cross_check and args.degree > CROSS_CHECK_MAX_DEGREE:
         parser.error(f"--cross-check supports degree <= {CROSS_CHECK_MAX_DEGREE}")
+    # refuse a bad path now, not after a search that may take minutes
+    for path in (args.output, args.csv):
+        if path:
+            _check_writable(parser, path)
     try:
         report = search(
             args.degree,
@@ -164,7 +180,7 @@ def _cmd_search(parser: _Parser, args) -> int:
         disc = cross_check(report)
         sys.stderr.write(
             f"cross-check: {len(disc)} discrepancies, "
-            f"{sum(1 for d in disc if not d['allowed'])} forbidden\n"
+            f"{len(acceptance_discrepancies(disc))} forbidden\n"
         )
     sys.stderr.write(
         f"search degree={report.degree} bound={report.coeff_bound}: "

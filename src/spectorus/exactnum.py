@@ -93,22 +93,6 @@ def sign_at(coeffs, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
-def interval_eval(coeffs, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation of the polynomial over [lo, hi].
-
-    Runs on integer numerators over the common denominator D of lo and hi:
-    after k steps the bounds are held scaled by D**k.
-    """
-    a, b, D = _common_numerators(lo, hi)
-    vlo = vhi = coeffs[-1]
-    dk = 1
-    for c in reversed(coeffs[:-1]):
-        dk *= D
-        ps = (vlo * a, vlo * b, vhi * a, vhi * b)
-        vlo, vhi = min(ps) + c * dk, max(ps) + c * dk
-    return Fraction(vlo, dk), Fraction(vhi, dk)
-
-
 def bisect_root_dyadic(
     coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, bits: int
 ) -> tuple[Fraction, Fraction]:

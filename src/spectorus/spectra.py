@@ -22,8 +22,7 @@ from fractions import Fraction
 from .exactnum import (
     bisect_root_dyadic,
     frac_to_decimal,
-    interval_eval,
-    nth_root_bounds,
+    nth_root_bounds,  # not called here: kept only for perfbench/tracer.py's wrapper
     sign_at,
     sqrt_bounds,
 )
@@ -389,28 +388,13 @@ def irreducible_by_modulus(P: IntPolynomial, profile: SpectralProfile) -> bool:
     return True
 
 
-def _lambda_power_interval(
-    profile: SpectralProfile, num: int, den: int, bits: int = 200
-) -> tuple[Fraction, Fraction] | None:
-    """Certified interval for lambda**(num/den), from the profile's lambda."""
-    if profile.lam is None:
-        return None
-    lo, hi = profile.lam
-    if num < 0:
-        lo, hi = 1 / hi, 1 / lo
-        num = -num
-    lo, hi = lo**num, hi**num
-    if den == 1:
-        return lo, hi
-    return nth_root_bounds(lo, den, bits)[0], nth_root_bounds(hi, den, bits)[1]
-
-
 def replay_case_even(P: IntPolynomial, profile: SpectralProfile) -> ReplayReport:
     """Replay the even-q half of the argument on a concrete candidate.
 
     Builds Q(X) = X**(2p+1) + a_{2p} X**(p+1) + a_1 X**p - 1 from the
-    candidate's coefficients (q = 2p), checks that lambda**2 lies in a root
-    of Q via certified interval evaluation, and tests the exact coincidence
+    candidate's coefficients (q = 2p), proves that Q has a root between
+    lo**2 and hi**2 for the profile's lambda bracket [lo, hi] by a strict
+    sign change of Q there, and tests the exact coincidence
     power_transform(Q, p) == P. For p = 1 the construction collapses to
     Q == P and the layout survives; for p >= 2 the vanishing X**(2p) and X
     coefficients of Q force sum(r_j) = -lambda**2, which combined with
@@ -432,12 +416,11 @@ def replay_case_even(P: IntPolynomial, profile: SpectralProfile) -> ReplayReport
     Q = IntPolynomial(tuple(qc))
     steps: list[tuple[str, str]] = [("construct_Q", Q.render())]
 
-    lam2 = _lambda_power_interval(profile, 2, 1)
-    if lam2 is None:
+    if profile.lam is None:
         steps.append(("lambda_sq_is_root", "skipped: no certified lambda"))
     else:
-        v_lo, v_hi = interval_eval(Q.coeffs, lam2[0], lam2[1])
-        ok = v_lo <= 0 <= v_hi
+        lo, hi = profile.lam
+        ok = sign_at(Q.coeffs, lo * lo) * sign_at(Q.coeffs, hi * hi) < 0
         steps.append(("lambda_sq_is_root", "verified" if ok else "failed"))
 
     Qt = power_transform(Q, p)
@@ -477,7 +460,9 @@ def replay_case_odd(P: IntPolynomial, profile: SpectralProfile) -> ReplayReport:
     transform, and tests exact coincidence with the candidate. For q = 1 the
     coincidence is palindromicity and the layout survives (1/lambda is an
     admissible modulus). For q >= 3 coincidence would force lambda**(-q*q) to
-    be a root, while every root modulus is lambda**q or 1/lambda.
+    be a root, while every root modulus is lambda**q or 1/lambda; that
+    exclusion is stated, not certified, since classify gives no profile of
+    odd q >= 3 a lambda.
     """
     q = P.degree - 1
     if q % 2 == 0:
@@ -512,25 +497,7 @@ def replay_case_odd(P: IntPolynomial, profile: SpectralProfile) -> ReplayReport:
             f"lambda^(-{q * q}) would be a root, but every root modulus is "
             f"lambda^{q} or 1/lambda"
         )
-        inv = _lambda_power_interval(profile, -q * q, 1)
-        if inv is None:
-            steps.append(("modulus_exclusion", "stated: no certified lambda available"))
-        else:
-            roots = (profile.small_roots or ()) + (
-                (profile.big_root,) if profile.big_root else ()
-            )
-            separated = bool(roots) and all(
-                m_hi < inv[0] or m_lo > inv[1]
-                for m_lo, m_hi in (e.modulus_interval() for e in roots)
-            )
-            steps.append(
-                (
-                    "modulus_exclusion",
-                    "certified: no root modulus interval meets lambda^(-q^2)"
-                    if separated
-                    else "not certified at current precision",
-                )
-            )
+        steps.append(("modulus_exclusion", "stated: no certified lambda available"))
         steps.append(("conclusion", contradiction))
     return ReplayReport(
         case="CaseOdd",

@@ -121,13 +121,15 @@ def test_criterion_4_replay_exactness(capsys, search_2_10, search_3_10):
     for e in entries:
         if e.profile.q == 2:
             rep = replay_case_even(e.poly, e.profile)
-            # Q = mu_A must hold as an exact integer identity
+            # Q = mu_A must hold as an exact integer identity, and Q must
+            # change sign across the square of the lambda bracket
             good = (
                 rep.case == "CaseEven"
                 and rep.exact
                 and rep.identity_holds
                 and rep.contradiction is None
                 and rep.constructed_poly == e.poly
+                and dict(rep.steps)["lambda_sq_is_root"] == "verified"
             )
         else:
             rep = replay_case_odd(e.poly, e.profile)

@@ -251,14 +251,40 @@ def test_search_cross_check_above_degree_six_is_a_usage_error(capsys, tmp_path):
 
 
 def test_search_unwritable_csv_is_a_usage_error(tmp_path, capsys):
-    # exit 1 would claim a certified rejection; the report file is written first
+    # exit 1 would claim a certified rejection; the writable report path is
+    # checked too, but no report file is left behind
     report, table = tmp_path / "report.json", tmp_path / "missing" / "x.csv"
     argv = ["search", "--degree", "2", "--bound", "2", "--output", str(report), "--csv", str(table)]
     code, out, err = run_cli(argv, capsys)
     assert code == 3 and out == ""
     assert err.startswith("usage: spectorus search ") and err.count("error:") == 1
     assert err.splitlines()[-1].startswith(f"spectorus search: error: cannot write {table}: ")
-    assert report.exists() and not table.exists()
+    assert not report.exists() and not table.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, missing",
+    [("--output", True), ("--output", False), ("--csv", True)],
+    ids=["output-missing-directory", "output-a-directory", "csv-missing-directory"],
+)
+def test_search_unwritable_path_is_refused_before_the_search(
+    flag, missing, tmp_path, capsys, monkeypatch
+):
+    def refuse(P, **kwargs):
+        raise AssertionError("a candidate was classified before the path check")
+
+    monkeypatch.setattr(searchkit, "classify", refuse)
+    bad = tmp_path / "missing" / "x" if missing else tmp_path
+    other = tmp_path / "kept.txt"
+    other.write_text("old bytes\n")
+    other_flag = "--csv" if flag == "--output" else "--output"
+    argv = ["search", "--degree", "2", "--bound", "2", flag, str(bad), other_flag, str(other)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1].startswith(f"spectorus search: error: cannot write {bad}: ")
+    # the existing file keeps its bytes, and nothing else appears
+    assert other.read_text() == "old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
 
 
 def test_search_undecided_exits_two(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from spectorus.exactnum import (
     dyadic_abs_bounds,
     dyadic_eval,
     frac_to_decimal,
-    interval_eval,
     isqrt_ceil,
     nth_root_bounds,
     nth_root_floor,
@@ -88,13 +87,6 @@ def test_dyadic_abs_bounds_bracket():
     assert lo <= Fraction(5, 2) <= hi
 
 
-def test_interval_eval_contains_range():
-    lo, hi = interval_eval(PLASTIC.coeffs, Fraction(1), Fraction(2))
-    assert lo <= PLASTIC(1) <= hi
-    assert lo <= PLASTIC(2) <= hi
-    assert lo <= Fraction(-23, 64) + 0 * PLASTIC(1)  # value at 3/2 inside too
-
-
 def test_bisect_root_dyadic_golden_root():
     lo, hi = bisect_root_dyadic(GOLDEN.coeffs, Fraction(2), Fraction(3), 120)
     root = (3 + Fraction(sqrt_bounds(Fraction(5), 140)[0])) / 2
@@ -110,9 +102,9 @@ def test_bisect_root_dyadic_rejects_bad_bracket():
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=64)
 
 
-# The Fraction implementations that the integer-numerator bisection and
-# interval Horner replaced, kept as named oracles. The sign is taken from
-# a plain Fraction sum, independent of exactnum's integer core.
+# The Fraction implementation that the integer-numerator bisection
+# replaced, kept as a named oracle. The sign is taken from a plain
+# Fraction sum, independent of exactnum's integer core.
 
 def fraction_sign_oracle(coeffs, x: Fraction) -> int:
     v = sum(Fraction(c) * x**j for j, c in enumerate(coeffs))
@@ -135,14 +127,6 @@ def fraction_bisect_oracle(coeffs, lo: Fraction, hi: Fraction, bits: int):
         else:
             hi = mid
     return lo, hi
-
-
-def fraction_interval_eval_oracle(coeffs, lo: Fraction, hi: Fraction):
-    vlo = vhi = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        ps = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
-        vlo, vhi = min(ps) + c, max(ps) + c
-    return vlo, vhi
 
 
 def outcome(f, *args):
@@ -202,12 +186,6 @@ def test_bisect_root_dyadic_midpoint_exit_and_zero_bits():
     assert bisect_root_dyadic(GOLDEN.coeffs, Fraction(2), Fraction(3), 0) == (2, 3)
     lo, hi = bisect_root_dyadic(GOLDEN.coeffs, Fraction(2), Fraction(3), 40)
     assert hi - lo == Fraction(1, 2**40)
-
-
-@settings(derandomize=True, max_examples=300)
-@given(st.lists(st.integers(-9, 9), min_size=1, max_size=7), RATIONALS, RATIONALS)
-def test_interval_eval_matches_fraction_oracle(coeffs, lo, hi):
-    assert interval_eval(coeffs, lo, hi) == fraction_interval_eval_oracle(coeffs, lo, hi)
 
 
 @settings(derandomize=True, max_examples=60)

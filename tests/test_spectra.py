@@ -767,6 +767,14 @@ def test_replay_even_plastic_is_exact_coincidence():
         assert dict(report.steps)["lambda_sq_is_root"] == "verified"
 
 
+def test_replay_even_lambda_step_fails_on_a_wrong_bracket():
+    # Q = P changes sign across [lam_lo^2, lam_hi^2] only if that interval
+    # holds lambda^2 ~ 5.86; (0, 1) gives P(0) = -1 and P(1) = -5
+    P = parse_poly("x^3 - 6x^2 + x - 1")
+    wrong = dataclasses.replace(classify(P), lam=(Fraction(0), Fraction(1)))
+    assert dict(replay_case_even(P, wrong).steps)["lambda_sq_is_root"] == "failed"
+
+
 def test_replay_odd_palindromic_quadratics():
     for t in (3, 4, 10):
         P = quadratic(t)
@@ -813,6 +821,21 @@ def test_replay_odd_near_miss_fails_coincidence():
     report = replay_case_odd(P, profile)
     assert not report.identity_holds
     assert report.contradiction is not None
+
+
+def test_replay_odd_identity_holds_at_q_three():
+    # the fifth cyclotomic polynomial is palindromic and its roots are
+    # permuted by cubing, so the identity holds and the exclusion is reached
+    P = parse_poly("x^4 + x^3 + x^2 + x + 1")
+    report = replay_case_odd(P, classify(P))
+    assert report.steps == (
+        ("reverse", "x^4 + x^3 + x^2 + x + 1"),
+        ("reversal_power_transform_identity", "holds exactly"),
+        ("modulus_exclusion", "stated: no certified lambda available"),
+        ("conclusion", "lambda^(-9) would be a root, but every root modulus is lambda^3 or 1/lambda"),
+    )
+    assert report.identity_holds
+    assert report.contradiction == report.steps[-1][1]
 
 
 def test_replay_json_round_trip_fields():
