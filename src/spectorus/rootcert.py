@@ -97,8 +97,10 @@ def chain_is_squarefree(chain: list[list[int]]) -> bool:
     return len(chain[-1]) == 1 and chain[-1][0] != 0
 
 
-# primes the squarefree proof tries in turn; residue tuples repeat across a
-# coefficient box (about 4,000 distinct ones over degrees 4-6), hence the cache
+# primes the squarefree proof tries in turn. Residue tuples repeat within a
+# shard of the search, hence the cache: a degree-6 shard at bound 10 looks up
+# at most 3,069 distinct ones. A whole box needs more (419, 3,049 and 20,173
+# at degrees 4, 5 and 6, bound 10), so later shards evict earlier ones
 _SQUAREFREE_PRIMES = (3, 5, 7)
 
 

@@ -4,7 +4,10 @@ Enumerates every monic integer polynomial of a given degree with interior
 coefficients in [-bound, bound] and unit constant term, classifies each one,
 and aggregates the verdicts into a deterministic report. Work is sharded by
 the leading interior coefficient so that any worker count produces the same
-report bytes; the only shared step is an ordered merge.
+report bytes; the only shared step is an ordered merge. From degree 4 on, a
+shard runs classify's sign screens, small-prime squarefree proof and
+Descartes counts as int64 array operations, with the same verdicts; only the
+candidates those leave open become IntPolynomial objects.
 """
 from __future__ import annotations
 
@@ -15,16 +18,24 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, product
+from math import comb
 from multiprocessing import get_context
 
 import numpy as np
 
 from .intpoly import IntPolynomial
-from .rootcert import DEFAULT_PRECISION_CEILING, MIN_PRECISION_BITS
+from .rootcert import (
+    _SQUAREFREE_PRIMES,
+    DEFAULT_PRECISION_CEILING,
+    MIN_PRECISION_BITS,
+    _squarefree_mod,
+)
 from .spectra import (
     REJECTED,
     UNDECIDED,
     SpectralProfile,
+    _disk_search,
+    _screen_verdict,
     classify,
     replay_case_even,
     replay_case_odd,
@@ -45,8 +56,12 @@ def enumerate_candidates(degree: int, bound: int, det_one: bool = True):
         yield from _shard_candidates(degree, bound, det_one, lead)
 
 
+def _constant_terms(degree: int, det_one: bool) -> tuple[int, ...]:
+    return ((-1) ** degree,) if det_one else (-1, 1)
+
+
 def _shard_candidates(degree: int, bound: int, det_one: bool, lead: int):
-    consts = ((-1) ** degree,) if det_one else (-1, 1)
+    consts = _constant_terms(degree, det_one)
     span = range(-bound, bound + 1)
     if degree == 2:
         for c0 in consts:
@@ -131,21 +146,150 @@ def _replay_for(P: IntPolynomial, profile: SpectralProfile):
     return replay_case_odd(P, profile)
 
 
+# candidates per grid of the array screens and per batched eigvals call of
+# the oracle: bounds their peak memory
+_ORACLE_CHUNK = 4096
+
+
+def _int64_exact(degree: int, bound: int) -> bool:
+    """Whether the array screens of a degree-n box at this bound are exact in int64.
+
+    A coefficient of P(X + 1) or P(-X - 1) is a sum of c_i * C(i, j) over
+    i >= j, bounded with every partial sum by bound * C(n + 1, j + 1) <=
+    bound * 2**n, which must stay below 2**63; P(+-1) is smaller. The base-7
+    residue codes of the squarefree lookup are below 7**(n + 1).
+    """
+    return bound << degree < 2**63 and 7 ** (degree + 1) <= 2**63
+
+
+def _shard_grids(degree: int, bound: int, det_one: bool, lead: int):
+    """The shard's candidates as int64 coefficient grids, one row each, ascending
+    columns, in enumeration order, at most _ORACLE_CHUNK rows per grid.
+
+    A grid is whole blocks: each block holds every value of c_0 and of the low
+    interior coefficients under one tuple of the high ones.
+    """
+    span = np.arange(-bound, bound + 1, dtype=np.int64)
+    block = np.array(_constant_terms(degree, det_one), dtype=np.int64)[:, None]
+    low = 1  # columns in the block: c_0, ..., c_(low - 1)
+    while low < degree - 1 and len(block) * len(span) <= _ORACLE_CHUNK:
+        block = np.column_stack(
+            (np.tile(block, (len(span), 1)), np.repeat(span, len(block)))
+        )
+        low += 1
+    highs = product(range(-bound, bound + 1), repeat=degree - 1 - low)
+    while heads := list(islice(highs, _ORACLE_CHUNK // len(block))):
+        grid = np.empty((len(heads) * len(block), degree + 1), dtype=np.int64)
+        grid[:, :low] = np.tile(block, (len(heads), 1))
+        # heads run c_(n-2), ..., c_low: reversed into ascending columns
+        grid[:, low : degree - 1] = np.repeat(
+            np.array(heads, dtype=np.int64)[:, ::-1], len(block), axis=0
+        )
+        grid[:, degree - 1] = lead
+        grid[:, degree] = 1
+        yield grid
+
+
+def _screen_table(degree: int) -> tuple[np.ndarray, list]:
+    """The sign screens' verdict for each (sign P(1), sign P(-1)), at index
+    3*sign P(1) + sign P(-1) + 4, as a code into the reasons list (0: pass)."""
+    verdicts = [_screen_verdict(degree, s1, sm1) for s1 in (-1, 0, 1) for sm1 in (-1, 0, 1)]
+    names = [None] + sorted({v[0] for v in verdicts if v})
+    return np.array([names.index(v and v[0]) for v in verdicts]), names
+
+
+def _squarefree_flags(grid: np.ndarray) -> np.ndarray:
+    """squarefree_by_small_primes of each row. Each prime runs on the rows the
+    earlier ones left unproven and looks up _squarefree_mod once per distinct
+    residue row, found by its base-p code."""
+    flags = np.zeros(len(grid), dtype=bool)
+    todo = np.arange(len(grid))
+    for p in _SQUAREFREE_PRIMES:
+        residues = grid[todo] % p
+        codes = residues @ p ** np.arange(grid.shape[1], dtype=np.int64)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        proven = np.array(
+            [_squarefree_mod(p, tuple(r)) for r in residues[first].tolist()], dtype=bool
+        )[inverse]
+        flags[todo[proven]] = True
+        todo = todo[~proven]
+        if not len(todo):
+            break
+    return flags
+
+
+def _sign_changes(a: np.ndarray) -> np.ndarray:
+    """Sign variations along each row of a, zeros skipped."""
+    signs = np.sign(a)
+    count = np.zeros(len(a), dtype=np.int64)
+    last = signs[:, 0]
+    for s in signs.T[1:]:
+        count += s * last < 0
+        last = np.where(s != 0, s, last)
+    return count
+
+
+def _array_stages(grid: np.ndarray, table: np.ndarray):
+    """Per row: the screen code (see _screen_table), the small-prime squarefree
+    flag, and the Descartes counts variations_above_one of P and of P(-X)."""
+    n = grid.shape[1] - 1
+    alt = np.array([(-1) ** i for i in range(n + 1)], dtype=np.int64)
+    pascal = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
+    screen = table[3 * np.sign(grid.sum(axis=1)) + np.sign(grid @ alt) + 4]
+    above = _sign_changes(grid @ pascal)  # P(X + 1)
+    below = _sign_changes((grid * alt) @ pascal)  # P(-X - 1)
+    return screen, _squarefree_flags(grid), above, below
+
+
+def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
+    """(P, profile) for each candidate of the shard the arrays leave open, in
+    enumeration order; the candidates they decide are counted into reasons.
+
+    classify's stage order, one grid at a time (the constant term always
+    passes here): a screen verdict stands once a small prime proves P
+    squarefree. A row that passes both screens, is proven squarefree and has
+    Descartes counts (1, 0) has lambda**q as its only real root outside
+    (-1, 1), so it goes straight to the disk search. The rest, unproven by the
+    primes or inconclusive for Descartes, go through classify.
+    """
+    table, names = _screen_table(degree)
+    for grid in _shard_grids(degree, bound, det_one, lead):
+        screen, squarefree, above, below = _array_stages(grid, table)
+        decided = squarefree & (screen > 0)
+        for name, count in zip(names[1:], np.bincount(screen[decided], minlength=len(names))[1:]):
+            if count:
+                reasons[name] += int(count)
+        disk = squarefree & (screen == 0) & (above == 1) & (below == 0)
+        rest = np.flatnonzero(~decided)
+        for coeffs, to_disk in zip(grid[rest].tolist(), disk[rest].tolist()):
+            P = IntPolynomial(tuple(coeffs))
+            if to_disk:
+                yield P, _disk_search(P, degree - 1, max_bits)
+            else:
+                yield P, classify(P, allow_gl=not det_one, max_precision_bits=max_bits)
+
+
 def _run_shard(args) -> tuple[list, Counter, list, int]:
     degree, bound, det_one, lead, max_bits = args
     accepted: list[AcceptedEntry] = []
     reasons: Counter = Counter()
     undecided: list[IntPolynomial] = []
-    count = 0
-    for P in _shard_candidates(degree, bound, det_one, lead):
-        count += 1
-        prof = classify(P, allow_gl=not det_one, max_precision_bits=max_bits)
+    # degrees 2 and 3 keep their exact tests, one candidate at a time
+    if degree >= 4 and _int64_exact(degree, bound):
+        verdicts = _array_verdicts(degree, bound, det_one, lead, max_bits, reasons)
+    else:
+        verdicts = (
+            (P, classify(P, allow_gl=not det_one, max_precision_bits=max_bits))
+            for P in _shard_candidates(degree, bound, det_one, lead)
+        )
+    for P, prof in verdicts:
         if prof.certification == REJECTED:
             reasons[prof.reason] += 1
         elif prof.certification == UNDECIDED:
             undecided.append(P)
         else:
             accepted.append(AcceptedEntry(P, prof, _replay_for(P, prof)))
+    count = len(_constant_terms(degree, det_one)) * (2 * bound + 1) ** (degree - 2)
     return accepted, reasons, undecided, count
 
 
@@ -193,10 +337,6 @@ def search(
         candidate_count=count,
         wall_time=time.perf_counter() - t0,
     )
-
-
-# candidates per batched eigvals call: bounds the oracle's peak memory
-_ORACLE_CHUNK = 4096
 
 
 def _oracle_roots(polys: list[IntPolynomial]) -> np.ndarray:

@@ -228,28 +228,34 @@ def exact_test_q2(
     return _accepted(P, EXACT_Q2, max_precision_bits)
 
 
-def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
-    """Exact sign screens at +-1, or None when both pass.
+def _screen_verdict(n: int, s1: int, sm1: int) -> tuple[str, str] | None:
+    """(reason, detail) of the sign screens at +-1 for degree n, from the signs
+    of P(1) and P(-1), or None when both pass.
 
     A valid layout has exactly one real root above 1 (odd count makes
-    P(1) < 0) and no root at or below -1.
+    P(1) < 0) and no root at or below -1 (even count, none at -1, makes
+    (-1)**n * P(-1) > 0). The search's array screens read their verdicts here.
     """
-    coeffs = P.coeffs
-    n = P.degree
-    q = n - 1
-    p1 = sum(coeffs)
-    if p1 == 0:
-        return _rejected(P, q, BOUNDARY_ROOT, "root at 1")
-    if p1 > 0:
-        return _rejected(P, q, EXPANDING_ROOT_COUNT, "even number of real roots above 1")
-    pm1 = sum(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
+    if s1 == 0:
+        return BOUNDARY_ROOT, "root at 1"
+    if s1 > 0:
+        return EXPANDING_ROOT_COUNT, "even number of real roots above 1"
     if n % 2:
-        pm1 = -pm1
-    if pm1 == 0:
-        return _rejected(P, q, BOUNDARY_ROOT, "root at -1")
-    if pm1 < 0:
-        return _rejected(P, q, ROOT_BELOW_MINUS_ONE, "odd number of real roots below -1")
+        sm1 = -sm1
+    if sm1 == 0:
+        return BOUNDARY_ROOT, "root at -1"
+    if sm1 < 0:
+        return ROOT_BELOW_MINUS_ONE, "odd number of real roots below -1"
     return None
+
+
+def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
+    """Exact sign screens at +-1, or None when both pass."""
+    coeffs = P.coeffs
+    p1 = sum(coeffs)
+    pm1 = sum(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
+    verdict = _screen_verdict(P.degree, (p1 > 0) - (p1 < 0), (pm1 > 0) - (pm1 < 0))
+    return None if verdict is None else _rejected(P, P.degree - 1, *verdict)
 
 
 def _sturm_counts(chain) -> tuple[int, int]:

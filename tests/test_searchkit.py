@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly
-from spectorus.spectra import EXACT_Q1, EXACT_Q2, UNDECIDED, SpectralProfile
+from spectorus.rootcert import squarefree_by_small_primes, variations_above_one
+from spectorus.spectra import EXACT_Q1, EXACT_Q2, UNDECIDED, SpectralProfile, _sign_screen
 from spectorus import searchkit
 from spectorus.searchkit import (
     SearchReport,
@@ -220,6 +221,98 @@ def test_undecided_profiles_propagate_into_report(monkeypatch):
     assert report.undecided == (target,)
     assert report.counts_consistent()
     assert json.loads(report.canonical_json())["undecided"] == [target.to_json()]
+
+
+# ---------------------------------------------------------------- array route
+
+ARRAY_BOXES = [
+    (4, 8, True), (5, 4, True), (6, 3, True), (7, 1, True), (8, 1, True),
+    (4, 3, False), (5, 2, False), (6, 2, False),
+]
+
+
+@pytest.mark.parametrize("degree, bound, det_one", ARRAY_BOXES)
+def test_array_route_report_equals_the_scalar_loop(monkeypatch, degree, bound, det_one):
+    arrays = search(degree, bound, det_one=det_one).canonical_json()
+    monkeypatch.setattr(searchkit, "_int64_exact", lambda degree, bound: False)
+    scalar = search(degree, bound, det_one=det_one).canonical_json()
+    assert arrays == scalar
+
+
+def assert_scalar_stages(rows, names):
+    """Each (coeffs, screen code, squarefree flag, count above 1, count below -1)
+    row of the array stages equals the scalar stage of classify."""
+    for coeffs, screen, squarefree, above, below in rows:
+        verdict = _sign_screen(IntPolynomial(tuple(coeffs)))
+        assert names[screen] == (verdict and verdict.reason), coeffs
+        assert squarefree == squarefree_by_small_primes(coeffs), coeffs
+        assert above == variations_above_one(coeffs), coeffs
+        mirrored = [-c if j % 2 else c for j, c in enumerate(coeffs)]
+        assert below == variations_above_one(mirrored), coeffs
+
+
+@pytest.mark.parametrize("degree, bound, det_one", [(5, 4, True), (5, 2, False)])
+def test_array_stages_equal_the_scalar_stages(degree, bound, det_one):
+    table, names = searchkit._screen_table(degree)
+    rows = []
+    for lead in range(-bound, bound + 1):
+        for grid in searchkit._shard_grids(degree, bound, det_one, lead):
+            assert len(grid) <= searchkit._ORACLE_CHUNK
+            stages = searchkit._array_stages(grid, table)
+            rows += zip(grid.tolist(), *(s.tolist() for s in stages))
+    assert [tuple(r[0]) for r in rows] == [
+        P.coeffs for P in enumerate_candidates(degree, bound, det_one)
+    ]
+    assert_scalar_stages(rows, names)
+
+
+@pytest.mark.parametrize("degree", [4, 20])
+def test_int64_exactness_predicate_edge(degree):
+    # bound * 2**n is the largest Taylor-shift entry the predicate admits
+    largest = 2 ** (63 - degree) - 1
+    assert searchkit._int64_exact(degree, largest)
+    assert not searchkit._int64_exact(degree, largest + 1)
+    # at the edge the int64 stages still match the scalar ones on the rows
+    # whose shifted coefficients are largest, for P(X + 1) and for P(-X - 1)
+    table, names = searchkit._screen_table(degree)
+    extreme = [
+        [1] + [largest] * (degree - 1) + [1],
+        [1] + [largest * (-1) ** i for i in range(1, degree)] + [1],
+        [-1] + [-largest] * (degree - 1) + [1],
+    ]
+    stages = searchkit._array_stages(np.array(extreme, dtype=np.int64), table)
+    assert_scalar_stages(zip(extreme, *(s.tolist() for s in stages)), names)
+
+
+def test_int64_exactness_predicate_refuses_codes_past_int64():
+    # base-7 residue codes of degree n stay below 7**(n + 1) <= 2**63 up to n = 21
+    assert searchkit._int64_exact(21, 1)
+    assert not searchkit._int64_exact(22, 1)
+
+
+def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
+    # two disk-route candidates of 4/2, in the shards of leads -2 and 0
+    targets = {IntPolynomial((1, 0, -2, -2, 1)), IntPolynomial((1, -2, -1, 0, 1))}
+    real_disk_search = searchkit._disk_search
+    stubbed = []
+
+    def stub(P, q, max_bits):
+        if P in targets:
+            stubbed.append(P)
+            return SpectralProfile(P, q, UNDECIDED, reason="precision_ceiling")
+        return real_disk_search(P, q, max_bits)
+
+    monkeypatch.setattr(searchkit, "_disk_search", stub)
+    in_order = tuple(P for P in enumerate_candidates(4, 2) if P in targets)
+    reports = [search(4, 2, workers=1), search(4, 2, workers=3)]
+    assert set(stubbed) == targets
+    for report in reports:
+        assert report.undecided == in_order
+        assert report.counts_consistent()
+        assert sum(report.rejected.values()) == 125 - 2
+        listed = json.loads(report.canonical_json())["undecided"]
+        assert listed == [P.to_json() for P in in_order]
+    assert reports[0].canonical_json() == reports[1].canonical_json()
 
 
 # ---------------------------------------------------------------- cross-check
