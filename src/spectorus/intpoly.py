@@ -79,25 +79,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPolynomial(tuple(x - y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
     def render(self, var: str = "x") -> str:
         """Human-readable text, highest power first; round-trips via parse_poly."""
         if self.is_zero:

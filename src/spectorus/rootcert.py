@@ -179,8 +179,7 @@ def variations_above_one(coeffs) -> int:
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
             a[j] += a[j + 1]
-    positive = [c > 0 for c in a if c]
-    return sum(x != y for x, y in zip(positive, positive[1:]))
+    return _variations([(c > 0) - (c < 0) for c in a])
 
 
 def disk_root_count(coeffs, u: int, v: int) -> int | None:

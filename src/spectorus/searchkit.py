@@ -4,10 +4,12 @@ Enumerates every monic integer polynomial of a given degree with interior
 coefficients in [-bound, bound] and unit constant term, classifies each one,
 and aggregates the verdicts into a deterministic report. Work is sharded by
 the leading interior coefficient so that any worker count produces the same
-report bytes; the only shared step is an ordered merge. From degree 4 on, a
-shard runs classify's sign screens, small-prime squarefree proof and
-Descartes counts as int64 array operations, with the same verdicts; only the
-candidates those leave open become IntPolynomial objects.
+report bytes; the only shared step is an ordered merge. Every walk over a
+box reads the int64 coefficient grids of _grids. From degree 4 on, a shard
+runs classify's sign screens, small-prime squarefree proof and Descartes
+counts as array operations on its grids; only the candidates those leave open
+become IntPolynomial objects, and they enter classify's later stages with the
+grid's values.
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
 from math import comb
 from multiprocessing import get_context
 
@@ -34,7 +35,7 @@ from .spectra import (
     REJECTED,
     UNDECIDED,
     SpectralProfile,
-    _disk_search,
+    _decide,
     _screen_verdict,
     classify,
     replay_case_even,
@@ -50,27 +51,23 @@ def enumerate_candidates(degree: int, bound: int, det_one: bool = True):
     over {-1, +1}. No other pruning: the point of the search is exhaustive
     evidence over the full box.
     """
-    if degree < 2 or bound < 1:
-        raise ValueError("enumerate_candidates requires degree >= 2 and bound >= 1")
-    for lead in range(-bound, bound + 1):
-        yield from _shard_candidates(degree, bound, det_one, lead)
+    _box_size(degree, bound, det_one, "enumerate_candidates")
+    yield from _polys(_grids(degree, bound, det_one, range(-bound, bound + 1)))
 
 
 def _constant_terms(degree: int, det_one: bool) -> tuple[int, ...]:
     return ((-1) ** degree,) if det_one else (-1, 1)
 
 
-def _shard_candidates(degree: int, bound: int, det_one: bool, lead: int):
-    consts = _constant_terms(degree, det_one)
-    span = range(-bound, bound + 1)
-    if degree == 2:
-        for c0 in consts:
-            yield IntPolynomial((c0, lead, 1))
-        return
-    for rest in product(span, repeat=degree - 2):
-        for c0 in consts:
-            # ascending order: constant, c_1, ..., c_{n-1}, leading 1
-            yield IntPolynomial((c0,) + rest[::-1] + (lead, 1))
+def _box_size(degree: int, bound: int, det_one: bool, who: str) -> int:
+    """Candidates in the box; a box whose flat row index int64 cannot hold is
+    refused."""
+    if degree < 2 or bound < 1:
+        raise ValueError(f"{who} requires degree >= 2 and bound >= 1")
+    size = len(_constant_terms(degree, det_one)) * (2 * bound + 1) ** (degree - 1)
+    if size >= 2**63:
+        raise ValueError(f"{who} requires a box of fewer than 2**63 candidates")
+    return size
 
 
 @dataclass(frozen=True)
@@ -146,8 +143,8 @@ def _replay_for(P: IntPolynomial, profile: SpectralProfile):
     return replay_case_odd(P, profile)
 
 
-# candidates per grid of the array screens and per batched eigvals call of
-# the oracle: bounds their peak memory
+# candidates per grid and per batched eigvals call of the oracle: bounds the
+# peak memory of the array screens and of cross_check
 _ORACLE_CHUNK = 4096
 
 
@@ -162,40 +159,40 @@ def _int64_exact(degree: int, bound: int) -> bool:
     return bound << degree < 2**63 and 7 ** (degree + 1) <= 2**63
 
 
-def _shard_grids(degree: int, bound: int, det_one: bool, lead: int):
-    """The shard's candidates as int64 coefficient grids, one row each, ascending
-    columns, in enumeration order, at most _ORACLE_CHUNK rows per grid.
+def _grids(degree: int, bound: int, det_one: bool, leads: range):
+    """The candidates whose c_(n-1) runs over leads, as int64 coefficient grids,
+    one row each, ascending columns, in enumeration order, at most
+    _ORACLE_CHUNK rows per grid.
 
-    A grid is whole blocks: each block holds every value of c_0 and of the low
-    interior coefficients under one tuple of the high ones.
+    Row r holds the mixed-radix digits of its flat index r: c_0 varies
+    fastest, then c_1, ..., c_(n-1). _box_size keeps every index in int64.
     """
-    span = np.arange(-bound, bound + 1, dtype=np.int64)
-    block = np.array(_constant_terms(degree, det_one), dtype=np.int64)[:, None]
-    low = 1  # columns in the block: c_0, ..., c_(low - 1)
-    while low < degree - 1 and len(block) * len(span) <= _ORACLE_CHUNK:
-        block = np.column_stack(
-            (np.tile(block, (len(span), 1)), np.repeat(span, len(block)))
-        )
-        low += 1
-    highs = product(range(-bound, bound + 1), repeat=degree - 1 - low)
-    while heads := list(islice(highs, _ORACLE_CHUNK // len(block))):
-        grid = np.empty((len(heads) * len(block), degree + 1), dtype=np.int64)
-        grid[:, :low] = np.tile(block, (len(heads), 1))
-        # heads run c_(n-2), ..., c_low: reversed into ascending columns
-        grid[:, low : degree - 1] = np.repeat(
-            np.array(heads, dtype=np.int64)[:, ::-1], len(block), axis=0
-        )
-        grid[:, degree - 1] = lead
+    consts = np.array(_constant_terms(degree, det_one), dtype=np.int64)
+    total = len(consts) * (2 * bound + 1) ** (degree - 2) * len(leads)
+    for start in range(0, total, _ORACLE_CHUNK):
+        rest = np.arange(start, min(start + _ORACLE_CHUNK, total), dtype=np.int64)
+        grid = np.empty((len(rest), degree + 1), dtype=np.int64)
+        rest, digit = np.divmod(rest, len(consts))
+        grid[:, 0] = consts[digit]
+        for j in range(1, degree - 1):
+            rest, digit = np.divmod(rest, 2 * bound + 1)
+            grid[:, j] = digit - bound
+        grid[:, degree - 1] = rest + leads.start
         grid[:, degree] = 1
         yield grid
 
 
-def _screen_table(degree: int) -> tuple[np.ndarray, list]:
-    """The sign screens' verdict for each (sign P(1), sign P(-1)), at index
-    3*sign P(1) + sign P(-1) + 4, as a code into the reasons list (0: pass)."""
-    verdicts = [_screen_verdict(degree, s1, sm1) for s1 in (-1, 0, 1) for sm1 in (-1, 0, 1)]
-    names = [None] + sorted({v[0] for v in verdicts if v})
-    return np.array([names.index(v and v[0]) for v in verdicts]), names
+def _polys(grids):
+    """The rows of the grids as IntPolynomial objects, in order."""
+    for grid in grids:
+        for coeffs in grid.tolist():
+            yield IntPolynomial(tuple(coeffs))
+
+
+def _screen_table(degree: int) -> list:
+    """_screen_verdict of each (sign P(1), sign P(-1)), at index
+    3*sign P(1) + sign P(-1) + 4: a (reason, detail) tuple, or None (pass)."""
+    return [_screen_verdict(degree, s1, sm1) for s1 in (-1, 0, 1) for sm1 in (-1, 0, 1)]
 
 
 def _squarefree_flags(grid: np.ndarray) -> np.ndarray:
@@ -229,13 +226,14 @@ def _sign_changes(a: np.ndarray) -> np.ndarray:
     return count
 
 
-def _array_stages(grid: np.ndarray, table: np.ndarray):
-    """Per row: the screen code (see _screen_table), the small-prime squarefree
-    flag, and the Descartes counts variations_above_one of P and of P(-X)."""
+def _array_stages(grid: np.ndarray):
+    """Per row: the screen code, an index into _screen_table, the small-prime
+    squarefree flag, and the Descartes counts variations_above_one of P and of
+    P(-X)."""
     n = grid.shape[1] - 1
     alt = np.array([(-1) ** i for i in range(n + 1)], dtype=np.int64)
     pascal = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
-    screen = table[3 * np.sign(grid.sum(axis=1)) + np.sign(grid @ alt) + 4]
+    screen = 3 * np.sign(grid.sum(axis=1)) + np.sign(grid @ alt) + 4
     above = _sign_changes(grid @ pascal)  # P(X + 1)
     below = _sign_changes((grid * alt) @ pascal)  # P(-X - 1)
     return screen, _squarefree_flags(grid), above, below
@@ -245,31 +243,26 @@ def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
     """(P, profile) for each candidate of the shard the arrays leave open, in
     enumeration order; the candidates they decide are counted into reasons.
 
-    classify's stage order, one grid at a time (the constant term always
-    passes here): a screen verdict stands once a small prime proves P
-    squarefree. A row that passes both screens, is proven squarefree and has
-    Descartes counts (1, 0) has lambda**q as its only real root outside
-    (-1, 1), so it goes straight to the disk search. The rest, unproven by the
-    primes or inconclusive for Descartes, go through classify.
+    The constant term always passes here. A screen verdict stands once a small
+    prime proves P squarefree; every other row enters classify's later stages
+    (spectra._decide) with its grid values.
     """
-    table, names = _screen_table(degree)
-    for grid in _shard_grids(degree, bound, det_one, lead):
-        screen, squarefree, above, below = _array_stages(grid, table)
-        decided = squarefree & (screen > 0)
-        for name, count in zip(names[1:], np.bincount(screen[decided], minlength=len(names))[1:]):
+    table = _screen_table(degree)
+    screens = np.array([v is not None for v in table])
+    for grid in _grids(degree, bound, det_one, range(lead, lead + 1)):
+        screen, squarefree, above, below = _array_stages(grid)
+        decided = squarefree & screens[screen]
+        for code, count in enumerate(np.bincount(screen[decided], minlength=len(table))):
             if count:
-                reasons[name] += int(count)
-        disk = squarefree & (screen == 0) & (above == 1) & (below == 0)
+                reasons[table[code][0]] += int(count)
         rest = np.flatnonzero(~decided)
-        for coeffs, to_disk in zip(grid[rest].tolist(), disk[rest].tolist()):
+        rows = zip(*(a[rest].tolist() for a in (grid, screen, squarefree, above, below)))
+        for coeffs, code, proven, n_above, n_below in rows:
             P = IntPolynomial(tuple(coeffs))
-            if to_disk:
-                yield P, _disk_search(P, degree - 1, max_bits)
-            else:
-                yield P, classify(P, allow_gl=not det_one, max_precision_bits=max_bits)
+            yield P, _decide(P, table[code], proven, (n_above, n_below), max_bits)
 
 
-def _run_shard(args) -> tuple[list, Counter, list, int]:
+def _run_shard(args) -> tuple[list, Counter, list]:
     degree, bound, det_one, lead, max_bits = args
     accepted: list[AcceptedEntry] = []
     reasons: Counter = Counter()
@@ -280,7 +273,7 @@ def _run_shard(args) -> tuple[list, Counter, list, int]:
     else:
         verdicts = (
             (P, classify(P, allow_gl=not det_one, max_precision_bits=max_bits))
-            for P in _shard_candidates(degree, bound, det_one, lead)
+            for P in _polys(_grids(degree, bound, det_one, range(lead, lead + 1)))
         )
     for P, prof in verdicts:
         if prof.certification == REJECTED:
@@ -289,8 +282,7 @@ def _run_shard(args) -> tuple[list, Counter, list, int]:
             undecided.append(P)
         else:
             accepted.append(AcceptedEntry(P, prof, _replay_for(P, prof)))
-    count = len(_constant_terms(degree, det_one)) * (2 * bound + 1) ** (degree - 2)
-    return accepted, reasons, undecided, count
+    return accepted, reasons, undecided
 
 
 def search(
@@ -301,8 +293,7 @@ def search(
     max_precision_bits: int = DEFAULT_PRECISION_CEILING,
 ) -> SearchReport:
     """Classify every candidate in the box; deterministic for any worker count."""
-    if degree < 2 or bound < 1:
-        raise ValueError("search requires degree >= 2 and bound >= 1")
+    count = _box_size(degree, bound, det_one, "search")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if max_precision_bits < MIN_PRECISION_BITS:
@@ -321,12 +312,10 @@ def search(
     accepted: list[AcceptedEntry] = []
     reasons: Counter = Counter()
     undecided: list[IntPolynomial] = []
-    count = 0
-    for acc, rea, und, cnt in results:  # shard order = lead ascending
+    for acc, rea, und in results:  # shard order = lead ascending
         accepted.extend(acc)
         reasons.update(rea)
         undecided.extend(und)
-        count += cnt
     return SearchReport(
         degree=degree,
         coeff_bound=bound,
@@ -339,16 +328,17 @@ def search(
     )
 
 
-def _oracle_roots(polys: list[IntPolynomial]) -> np.ndarray:
-    """Roots of each equal-degree polynomial, one row each, as np.roots finds them.
+def _oracle_roots(grid: np.ndarray) -> np.ndarray:
+    """Roots of each row of a coefficient grid (ascending columns, as _grids
+    builds it), one row each, as np.roots finds them.
 
     The companion matrices are built exactly as np.roots builds them (ones
     on the subdiagonal, -p[1:]/p[0] in row 0) and solved by one batched
     eigvals call on the stacked (m, n, n) array.
     """
-    p = np.array([P.coeffs[::-1] for P in polys], dtype=float)
+    p = grid[:, ::-1].astype(float)
     n = p.shape[1] - 1
-    A = np.zeros((len(polys), n, n))
+    A = np.zeros((len(p), n, n))
     A[:, 1:, :-1] = np.eye(n - 1)
     A[:, 0, :] = -p[:, 1:] / p[:, :1]
     return np.linalg.eigvals(A).astype(complex)
@@ -410,18 +400,17 @@ def cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
     """
     if report.degree > CROSS_CHECK_MAX_DEGREE:
         raise ValueError(f"cross_check supports degree <= {CROSS_CHECK_MAX_DEGREE}")
-    accepted_set = {e.poly for e in report.accepted}
-    undecided_set = set(report.undecided)
+    accepted_set = {e.poly.coeffs for e in report.accepted}
+    undecided_set = {P.coeffs for P in report.undecided}
     out: list[dict] = []
-    candidates = enumerate_candidates(
-        report.degree, report.coeff_bound, report.det_constraint
-    )
-    while chunk := list(islice(candidates, _ORACLE_CHUNK)):
-        for P, roots in zip(chunk, _oracle_roots(chunk).tolist()):
+    leads = range(-report.coeff_bound, report.coeff_bound + 1)
+    for grid in _grids(report.degree, report.coeff_bound, report.det_constraint, leads):
+        for coeffs, roots in zip(grid.tolist(), _oracle_roots(grid).tolist()):
             oracle_ok, near = _oracle_verdict(roots, tol)
-            if P in accepted_set:
+            coeffs = tuple(coeffs)
+            if coeffs in accepted_set:
                 verdict = "accepted"
-            elif P in undecided_set:
+            elif coeffs in undecided_set:
                 verdict = "undecided"
             else:
                 verdict = "rejected"
@@ -430,7 +419,7 @@ def cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
                 continue
             out.append(
                 {
-                    "poly": P.to_json(),
+                    "poly": IntPolynomial(coeffs).to_json(),
                     "report": verdict,
                     "oracle": "accepted" if oracle_ok else "rejected",
                     "near_boundary": near,

@@ -249,13 +249,12 @@ def _screen_verdict(n: int, s1: int, sm1: int) -> tuple[str, str] | None:
     return None
 
 
-def _sign_screen(P: IntPolynomial) -> SpectralProfile | None:
-    """Exact sign screens at +-1, or None when both pass."""
+def _sign_screen(P: IntPolynomial) -> tuple[str, str] | None:
+    """(reason, detail) of the exact sign screens at +-1, or None when both pass."""
     coeffs = P.coeffs
     p1 = sum(coeffs)
     pm1 = sum(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
-    verdict = _screen_verdict(P.degree, (p1 > 0) - (p1 < 0), (pm1 > 0) - (pm1 < 0))
-    return None if verdict is None else _rejected(P, P.degree - 1, *verdict)
+    return _screen_verdict(P.degree, (p1 > 0) - (p1 < 0), (pm1 > 0) - (pm1 < 0))
 
 
 def _sturm_counts(chain) -> tuple[int, int]:
@@ -337,25 +336,41 @@ def classify(
             return exact_test_q1(P)
         if n == 3 and c0 == -1:
             return exact_test_q2(P, max_precision_bits)
-    # stage order: sign screens, squarefree proof, real-root counts (Descartes,
-    # else Sturm), then Vieta (degrees 2 and 3) or the disk search.
-    # not_squarefree outranks a screen verdict, so a screen rejection stands
-    # only once a small prime or the Sturm chain proves P squarefree
     screen = _sign_screen(P)
     squarefree = squarefree_by_small_primes(P.coeffs)
+    counts = None
+    if screen is None and squarefree:
+        mirrored = [-c if j % 2 else c for j, c in enumerate(P.coeffs)]  # P(-X)
+        counts = variations_above_one(P.coeffs), variations_above_one(mirrored)
+    return _decide(P, screen, squarefree, counts, max_precision_bits)
+
+
+def _decide(
+    P: IntPolynomial,
+    screen: tuple[str, str] | None,
+    squarefree: bool,
+    counts: tuple[int, int] | None,
+    max_precision_bits: int,
+) -> SpectralProfile:
+    """classify's stages after the exact tests, from the sign screens' verdict
+    (see _screen_verdict), the small-prime squarefree proof and the Descartes
+    counts (variations_above_one of P and of P(-X)), or None when not computed.
+
+    Stage order: sign screens, squarefree proof, real-root counts (Descartes,
+    else Sturm), then Vieta (degrees 2 and 3) or the disk search.
+    not_squarefree outranks a screen verdict, so a screen rejection stands
+    only once a small prime or the Sturm chain proves P squarefree. The
+    search's array route calls this with the values of its grids.
+    """
+    q = P.degree - 1
     if screen is not None and squarefree:
-        return screen
-    if not (
-        screen is None
-        and squarefree
-        and variations_above_one(P.coeffs) == 1
-        and variations_above_one([-c if j % 2 else c for j, c in enumerate(P.coeffs)]) == 0
-    ):
+        return _rejected(P, q, *screen)
+    if not (screen is None and squarefree and counts == (1, 0)):
         chain = sturm_chain(P.coeffs)
         if not chain_is_squarefree(chain):
             return _rejected(P, q, NOT_SQUAREFREE)
         if screen is not None:
-            return screen
+            return _rejected(P, q, *screen)
         above, below = _sturm_counts(chain)
         if above != 1:
             return _rejected(P, q, EXPANDING_ROOT_COUNT, f"{above} real roots above 1")

@@ -262,6 +262,16 @@ def test_search_unwritable_csv_is_a_usage_error(tmp_path, capsys):
     assert not report.exists() and not table.exists()
 
 
+def test_search_of_a_box_int64_cannot_index_is_a_usage_error(capsys):
+    # (2**32 + 1)**2 candidates: refused before any shard is built
+    code, out, err = run_cli(["search", "--degree", "3", "--bound", str(2**31)], capsys)
+    assert code == 3 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert err.endswith(
+        "spectorus search: error: search requires a box of fewer than 2**63 candidates\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flag, missing",
     [("--output", True), ("--output", False), ("--csv", True)],

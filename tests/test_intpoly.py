@@ -129,10 +129,6 @@ def test_from_json_rejects_float_coefficients():
 
 def test_ring_operations():
     assert (GOLDEN * PLASTIC).degree == 5
-    assert GOLDEN + (-GOLDEN) == IntPolynomial((0,))
-    assert GOLDEN - GOLDEN == IntPolynomial((0,))
-    X = parse_poly("x")
-    assert X * X - parse_poly("x^2") == IntPolynomial((0,))
 
 
 def test_evaluate_exact_and_call():
@@ -173,7 +169,6 @@ def test_coefficients_must_be_integers():
 def test_product_evaluation_homomorphism(a, b, x):
     P, Q = IntPolynomial(tuple(a)), IntPolynomial(tuple(b))
     assert (P * Q).evaluate(x) == P.evaluate(x) * Q.evaluate(x)
-    assert (P + Q).evaluate(x) == P.evaluate(x) + Q.evaluate(x)
 
 
 # ---------------------------------------------------------------- reversal

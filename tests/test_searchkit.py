@@ -11,7 +11,7 @@ import pytest
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly
 from spectorus.rootcert import squarefree_by_small_primes, variations_above_one
 from spectorus.spectra import EXACT_Q1, EXACT_Q2, UNDECIDED, SpectralProfile, _sign_screen
-from spectorus import searchkit
+from spectorus import searchkit, spectra
 from spectorus.searchkit import (
     SearchReport,
     acceptance_discrepancies,
@@ -54,6 +54,16 @@ def test_enumeration_validates_arguments():
         list(enumerate_candidates(1, 3))
     with pytest.raises(ValueError):
         list(enumerate_candidates(3, 0))
+
+
+def test_enumeration_refuses_a_box_int64_cannot_index():
+    # 2 * bound + 1 candidates at degree 2: 2**63 + 1 is refused, 2**63 - 1 is not
+    with pytest.raises(ValueError, match="fewer than 2\\*\\*63 candidates"):
+        next(enumerate_candidates(2, 2**62))
+    first = next(enumerate_candidates(2, 2**62 - 1))
+    assert first == IntPolynomial((1, -(2**62) + 1, 1))
+    with pytest.raises(ValueError):
+        search(3, 2**31)
 
 
 # ---------------------------------------------------------------- search runs
@@ -239,31 +249,43 @@ def test_array_route_report_equals_the_scalar_loop(monkeypatch, degree, bound, d
     assert arrays == scalar
 
 
-def assert_scalar_stages(rows, names):
+def assert_scalar_stages(rows, table):
     """Each (coeffs, screen code, squarefree flag, count above 1, count below -1)
     row of the array stages equals the scalar stage of classify."""
     for coeffs, screen, squarefree, above, below in rows:
-        verdict = _sign_screen(IntPolynomial(tuple(coeffs)))
-        assert names[screen] == (verdict and verdict.reason), coeffs
+        assert table[screen] == _sign_screen(IntPolynomial(tuple(coeffs))), coeffs
         assert squarefree == squarefree_by_small_primes(coeffs), coeffs
         assert above == variations_above_one(coeffs), coeffs
         mirrored = [-c if j % 2 else c for j, c in enumerate(coeffs)]
         assert below == variations_above_one(mirrored), coeffs
 
 
+@pytest.mark.parametrize("degree, bound", [(5, 2), (6, 2)])
+def test_array_route_reaches_the_stage_order_only_through_decide(monkeypatch, degree, bound):
+    monkeypatch.setattr(searchkit, "_int64_exact", lambda degree, bound: False)
+    scalar = search(degree, bound, det_one=False).canonical_json()
+    monkeypatch.undo()
+
+    def refuse(P, **kwargs):
+        raise AssertionError("the array route called classify")
+
+    monkeypatch.setattr(searchkit, "classify", refuse)
+    assert search(degree, bound, det_one=False).canonical_json() == scalar
+
+
 @pytest.mark.parametrize("degree, bound, det_one", [(5, 4, True), (5, 2, False)])
 def test_array_stages_equal_the_scalar_stages(degree, bound, det_one):
-    table, names = searchkit._screen_table(degree)
+    table = searchkit._screen_table(degree)
     rows = []
     for lead in range(-bound, bound + 1):
-        for grid in searchkit._shard_grids(degree, bound, det_one, lead):
+        for grid in searchkit._grids(degree, bound, det_one, range(lead, lead + 1)):
             assert len(grid) <= searchkit._ORACLE_CHUNK
-            stages = searchkit._array_stages(grid, table)
+            stages = searchkit._array_stages(grid)
             rows += zip(grid.tolist(), *(s.tolist() for s in stages))
     assert [tuple(r[0]) for r in rows] == [
         P.coeffs for P in enumerate_candidates(degree, bound, det_one)
     ]
-    assert_scalar_stages(rows, names)
+    assert_scalar_stages(rows, table)
 
 
 @pytest.mark.parametrize("degree", [4, 20])
@@ -274,14 +296,14 @@ def test_int64_exactness_predicate_edge(degree):
     assert not searchkit._int64_exact(degree, largest + 1)
     # at the edge the int64 stages still match the scalar ones on the rows
     # whose shifted coefficients are largest, for P(X + 1) and for P(-X - 1)
-    table, names = searchkit._screen_table(degree)
+    table = searchkit._screen_table(degree)
     extreme = [
         [1] + [largest] * (degree - 1) + [1],
         [1] + [largest * (-1) ** i for i in range(1, degree)] + [1],
         [-1] + [-largest] * (degree - 1) + [1],
     ]
-    stages = searchkit._array_stages(np.array(extreme, dtype=np.int64), table)
-    assert_scalar_stages(zip(extreme, *(s.tolist() for s in stages)), names)
+    stages = searchkit._array_stages(np.array(extreme, dtype=np.int64))
+    assert_scalar_stages(zip(extreme, *(s.tolist() for s in stages)), table)
 
 
 def test_int64_exactness_predicate_refuses_codes_past_int64():
@@ -293,7 +315,7 @@ def test_int64_exactness_predicate_refuses_codes_past_int64():
 def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
     # two disk-route candidates of 4/2, in the shards of leads -2 and 0
     targets = {IntPolynomial((1, 0, -2, -2, 1)), IntPolynomial((1, -2, -1, 0, 1))}
-    real_disk_search = searchkit._disk_search
+    real_disk_search = spectra._disk_search
     stubbed = []
 
     def stub(P, q, max_bits):
@@ -302,7 +324,7 @@ def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
             return SpectralProfile(P, q, UNDECIDED, reason="precision_ceiling")
         return real_disk_search(P, q, max_bits)
 
-    monkeypatch.setattr(searchkit, "_disk_search", stub)
+    monkeypatch.setattr(spectra, "_disk_search", stub)
     in_order = tuple(P for P in enumerate_candidates(4, 2) if P in targets)
     reports = [search(4, 2, workers=1), search(4, 2, workers=3)]
     assert set(stubbed) == targets
@@ -392,11 +414,14 @@ def test_cross_check_respects_det_constraint_flag():
 def test_batched_oracle_roots_are_bitwise_np_roots_beyond_one_chunk():
     polys = list(enumerate_candidates(3, 50))
     assert len(polys) == 10_201 > 2 * searchkit._ORACLE_CHUNK
-    for start in range(0, len(polys), searchkit._ORACLE_CHUNK):
-        chunk = polys[start : start + searchkit._ORACLE_CHUNK]
-        for P, row in zip(chunk, searchkit._oracle_roots(chunk)):
+    done = 0
+    for grid in searchkit._grids(3, 50, True, range(-50, 51)):
+        assert len(grid) <= searchkit._ORACLE_CHUNK
+        for P, row in zip(polys[done : done + len(grid)], searchkit._oracle_roots(grid)):
             ref = np.array([complex(r) for r in np.roots(P.coeffs[::-1])])
             assert row.tobytes() == ref.tobytes(), P
+        done += len(grid)
+    assert done == len(polys)
 
 
 def test_cross_check_matches_per_candidate_np_roots():

@@ -36,11 +36,13 @@ TRACED = "box-reject"
 # layer names of the traced table whose meaning no longer matches the code,
 # with why (ROADMAP item 1a holds the repair of the tracer)
 STALE = {
-    "spectra.exit.isolation": "every disk-search rejection that classify makes is "
-    "filed here, though no degree >= 4 candidate isolates roots; the search's "
-    "disk route skips classify, so its rejections are not counted",
-    "rootcert.sturm_chain.useful_ratio": "counts the isolation exits as useful, "
-    "not only the Sturm exits",
+    "spectra.exit.isolation": "counts classify's exits only; no box-reject candidate "
+    "reaches classify, since the search's array route sends the rows it leaves "
+    "open to spectra._decide, so it reads 0",
+    "spectra.exit.sturm": "counts classify's exits only; the Sturm exits of the "
+    "search's array route happen in spectra._decide, so it reads 0",
+    "rootcert.sturm_chain.useful_ratio": "divides classify's Sturm and isolation "
+    "exits, 0 on box-reject, by the chains that spectra._decide builds, so it reads 0",
     "numpy.eigvals.calls": "proxies rootcert.np.linalg.eigvals, which nothing in src/ calls",
     "numpy.eigvals.self_s": "proxies rootcert.np.linalg.eigvals, which nothing in src/ calls",
     "mpmath.polyval.calls": "proxies rootcert.mpmath.polyval, which nothing in src/ calls",
@@ -49,14 +51,17 @@ STALE = {
     "exactnum.nth_root_bounds.self_s": "wraps spectra.nth_root_bounds, which nothing in spectra calls",
     "rootcert.isolate_roots.calls": "wraps spectra.isolate_roots, a name item 2 deletes",
     "rootcert.isolate_roots.self_s": "wraps spectra.isolate_roots, a name item 2 deletes",
-    "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes",
+    "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes; "
+    "it counts the chains that spectra._decide builds for the search's open rows",
     "rootcert.sturm_chain.self_s": "wraps spectra.sturm_chain, a name item 6 deletes",
     "rootcert.variations_at.calls": "wraps spectra.variations_at, a name item 6 deletes",
     "rootcert.variations_at.self_s": "wraps spectra.variations_at, a name item 6 deletes",
     "spectra.exit.screen": "the search's array screens decide screened candidates "
-    "without calling classify, so they are not counted",
-    "spectra.classify.calls": "the search's array screens and its disk route "
-    "skip classify, so it counts only the candidates classify decides",
+    "without calling classify, so it reads 0",
+    "spectra.classify.calls": "the search's array route calls spectra._decide, not "
+    "classify, so it reads 0 on box-reject",
+    "spectra.classify.self_s": "the search's array route calls spectra._decide, not "
+    "classify, so it reads 0 on box-reject",
 }
 
 
