@@ -99,12 +99,14 @@ def chain_is_squarefree(chain: list[list[int]]) -> bool:
 
 # primes the squarefree proof tries in turn. Residue tuples repeat within a
 # shard of the search, hence the cache: a degree-6 shard at bound 10 looks up
-# at most 3,069 distinct ones. A whole box needs more (419, 3,049 and 20,173
-# at degrees 4, 5 and 6, bound 10), so later shards evict earlier ones
+# at most 3,069 distinct ones. The boxes 4/8, 5/4 and 6/3 together look up
+# 4,454, which the 8,192 entries hold across repeated searches; a whole
+# bound-10 box needs more (419, 3,049 and 20,173 at degrees 4, 5 and 6), so
+# there later shards evict earlier ones
 _SQUAREFREE_PRIMES = (3, 5, 7)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=8192)
 def _squarefree_mod(p: int, residues: tuple[int, ...]) -> bool:
     """gcd(f, f') over GF(p) is a nonzero constant, for f monic with these residues."""
     f = list(residues)
@@ -231,11 +233,11 @@ class RootEnclosure:
 
     @property
     def re(self) -> float:
-        return float(Fraction(self.a, 1 << self.k))
+        return self.a / (1 << self.k)  # int / int is correctly rounded
 
     @property
     def im(self) -> float:
-        return float(Fraction(self.b, 1 << self.k))
+        return self.b / (1 << self.k)
 
     @property
     def center(self) -> complex:

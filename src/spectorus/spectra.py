@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import (
+    _common_numerators,
     bisect_root_dyadic,
     frac_to_decimal,
     nth_root_bounds,  # not called here: kept only for perfbench/tracer.py's wrapper
@@ -79,11 +81,13 @@ class SpectralProfile:
     def accepted(self) -> bool:
         return self.certification in (EXACT_Q1, EXACT_Q2, INTERVAL_CERTIFIED)
 
-    @property
+    @cached_property
     def lambda_float(self) -> float | None:
+        """The double nearest the midpoint of lam, computed once per profile."""
         if self.lam is None:
             return None
-        return float((self.lam[0] + self.lam[1]) / 2)
+        lo, hi, den = _common_numerators(*self.lam)
+        return (lo + hi) / (2 * den)  # int / int is correctly rounded
 
     def to_json(self) -> dict:
         lam_iv = None
@@ -147,6 +151,55 @@ def _extra_bits(bound: int) -> int:
     return max(0, 2 * bound.bit_length() - 40)
 
 
+def _alpha_newton(coeffs: tuple[int, ...], bound: int, m: int) -> int:
+    """x with x/2**m just above alpha, by Newton's method on integers from bound.
+
+    For the accepted cubic P is increasing and convex on [alpha, bound]
+    (P'' > 0 past -a/3 < alpha), so each floored step x - P/P' stays at or
+    above alpha*2**m and x descends; it stops at a step under one unit, where
+    the error has shrunk quadratically (Brent and Zimmermann, Modern Computer
+    Arithmetic, 2010, section 4.2).
+    """
+    c, b, a, _ = coeffs
+    a, b, c = a << m, b << (2 * m), c << (3 * m)
+    x = bound << m
+    while True:
+        # 2**(3m) * P(x/2**m) over 2**(2m) * P'(x/2**m): the step in units of 2**-m
+        step = (((x + a) * x + b) * x + c) // ((3 * x + 2 * a) * x + b)
+        if step <= 0:
+            return x
+        x -= step
+
+
+def _alpha_bracket(coeffs: tuple[int, ...], bound: int, bits: int) -> tuple[Fraction, Fraction]:
+    """bisect_root_dyadic(coeffs, 1, bound, bits) for the accepted cubic, by a
+    Newton guess that exact signs check.
+
+    Needs X**3 + a*X**2 + b*X - 1 with disc < 0 and P(1) < 0, as every q = 2
+    acceptance has (exact_test_q2, or _decide's Vieta step behind the sign
+    screens, also with gl or force_interval): then alpha is P's only real
+    root, irrational, and exactly one cell of the bisection's last level
+    shows a sign change. From [1, bound] the bisection keeps the width
+    w = bound - 1 over 2**s and stops at s = bits + (w - 1).bit_length(), on
+    a cell [(2**s + j*w)/2**s, (2**s + (j + 1)*w)/2**s]. The cell of the
+    Newton guess, then its two neighbours, is returned only when
+    P(lo) < 0 < P(hi) holds exactly; otherwise the bisection runs. So the
+    pair is the bisection's by construction. Not a substitute for
+    bisect_root_dyadic on other brackets: with several roots inside, Newton
+    may land on another one.
+    """
+    w = bound - 1
+    s = bits + (w - 1).bit_length()
+    m = s + 8
+    j = (_alpha_newton(coeffs, bound, m) - (1 << m)) // (w << (m - s))
+    den = 1 << s
+    for cell in (j, j - 1, j + 1):
+        lo, hi = Fraction(den + cell * w, den), Fraction(den + (cell + 1) * w, den)
+        if sign_at(coeffs, lo) < 0 < sign_at(coeffs, hi):
+            return lo, hi
+    return bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits)
+
+
 def _accepted(
     P: IntPolynomial,
     certification: str,
@@ -156,7 +209,8 @@ def _accepted(
 
     q = 1: X**2 - t*X + c0 with c0 = +-1 and lambda = (t + sqrt(t**2 - 4*c0))/2.
     q = 2: X**3 + a*X**2 + b*X - 1 with one real root alpha > 1 and a pair of
-    modulus 1/lambda, lambda = sqrt(alpha). isolate_roots encloses the pair,
+    modulus 1/lambda, lambda = sqrt(alpha), whose bracket _alpha_bracket
+    finds by Newton's method and checks. isolate_roots encloses the pair,
     lower member first, from alpha's bracket; past max_precision_bits the
     verdict is Undecided / precision_ceiling.
     """
@@ -172,7 +226,7 @@ def _accepted(
             P, 1, certification, lam=lam, big_root=big, small_roots=(small,)
         )
     # alpha = unique real root in (1, bound); lambda = sqrt(alpha)
-    a_lo, a_hi = bisect_root_dyadic(P.coeffs, Fraction(1), Fraction(bound), 150 + extra)
+    a_lo, a_hi = _alpha_bracket(P.coeffs, bound, 150 + extra)
     lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
     big = _real_enclosure(a_lo, a_hi, 160 + extra)
     pair = isolate_roots(P, (a_lo, a_hi), max_precision_bits)

@@ -274,6 +274,26 @@ def test_array_route_reaches_the_stage_order_only_through_decide(monkeypatch, de
 
 
 @pytest.mark.parametrize("degree, bound, det_one", [(5, 4, True), (5, 2, False)])
+def test_array_route_skips_the_sturm_chain_on_descartes_one_zero(monkeypatch, degree, bound, det_one):
+    # a row that a small prime proves squarefree, with one sign variation
+    # above 1 and none below -1, is decided without a chain
+    chained = []
+    chain = spectra.sturm_chain
+
+    def recording(coeffs):
+        chained.append(tuple(coeffs))
+        return chain(coeffs)
+
+    monkeypatch.setattr(spectra, "sturm_chain", recording)
+    search(degree, bound, det_one=det_one)
+    assert chained
+    for coeffs in chained:
+        mirrored = [-c if j % 2 else c for j, c in enumerate(coeffs)]
+        counts = variations_above_one(coeffs), variations_above_one(mirrored)
+        assert not (squarefree_by_small_primes(coeffs) and counts == (1, 0)), coeffs
+
+
+@pytest.mark.parametrize("degree, bound, det_one", [(5, 4, True), (5, 2, False)])
 def test_array_stages_equal_the_scalar_stages(degree, bound, det_one):
     table = searchkit._screen_table(degree)
     rows = []

@@ -187,6 +187,127 @@ def test_exact_q2_requires_cubic_shape():
         exact_test_q2(parse_poly("x^3 - x + 1"))
 
 
+# ------------------------------------------------------------ alpha's bracket
+
+def _alpha_case(coeffs):
+    """(coeffs, bound, bits) as spectra._accepted passes them to _alpha_bracket."""
+    bound = 1 + max(map(abs, coeffs))
+    return coeffs, bound, 150 + spectra._extra_bits(bound)
+
+
+def _bisected(coeffs, bound, bits):
+    return bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits)
+
+
+def _q2_accept_sample(count, span, seed):
+    """Seeded accepted cubics X^3 + aX^2 + bX - 1 with |a|, |b| <= span."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        a, b = rng.randint(-span, span), rng.randint(-span, span)
+        if a + b < 0 and discriminant(cubic(a, b)) < 0:
+            found.append((-1, b, a, 1))
+    return found
+
+
+def _box_cubics(bound, det_one):
+    from spectorus.searchkit import search
+
+    return [e.poly.coeffs for e in search(3, bound, det_one=det_one).accepted]
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: _box_cubics(25, True), id="box-3-25"),
+        pytest.param(lambda: _box_cubics(40, True), id="box-3-40"),
+        pytest.param(lambda: _box_cubics(5, False), id="gl-box-3-5"),
+        pytest.param(lambda: _q2_accept_sample(300, 1000, 2500), id="q2-accept-family"),
+        pytest.param(lambda: [(-1, 0, -int("7" * 400), 1)], id="400-sevens"),
+    ],
+)
+def test_alpha_bracket_is_the_bisection_bracket(monkeypatch, cases):
+    fallbacks = []
+
+    def counting(*args):
+        fallbacks.append(args)
+        return bisect_root_dyadic(*args)
+
+    monkeypatch.setattr(spectra, "bisect_root_dyadic", counting)
+    cubics = cases()
+    assert cubics
+    for coeffs in cubics:
+        case = _alpha_case(coeffs)
+        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+    assert fallbacks == []  # every bracket came from Newton's cell
+
+
+@pytest.mark.parametrize(
+    "guess",
+    [
+        pytest.param(lambda coeffs, bound, m: 1 << m, id="guess-1"),
+        pytest.param(lambda coeffs, bound, m: bound << m, id="guess-bound"),
+    ],
+)
+def test_alpha_bracket_falls_back_to_the_bisection_on_a_wrong_guess(monkeypatch, guess):
+    monkeypatch.setattr(spectra, "_alpha_newton", guess)
+    for coeffs in [PLASTIC.coeffs, (-1, 3, -7, 1)] + _q2_accept_sample(20, 1000, 2501):
+        case = _alpha_case(coeffs)
+        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+
+
+@pytest.mark.parametrize("cells", [1, -1])
+def test_alpha_bracket_tries_the_neighbouring_cells(monkeypatch, cells):
+    # a guess one cell off still yields the bisection's cell, without a fallback
+    newton = spectra._alpha_newton
+
+    def refuse(*args):
+        raise AssertionError("fell back to the bisection")
+
+    monkeypatch.setattr(spectra, "bisect_root_dyadic", refuse)
+    for coeffs in [PLASTIC.coeffs] + _q2_accept_sample(20, 1000, 2502):
+        coeffs, bound, bits = case = _alpha_case(coeffs)
+        s = bits + (bound - 2).bit_length()  # the bisection's last level
+
+        def off_by_one_cell(coeffs, bound, m):
+            # a cell is (bound - 1)/2**s wide, (bound - 1) * 2**(m - s) units of 2**-m
+            return newton(coeffs, bound, m) + cells * ((bound - 1) << (m - s))
+
+        monkeypatch.setattr(spectra, "_alpha_newton", off_by_one_cell)
+        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+
+
+def test_report_floats_are_the_fraction_floats(monkeypatch):
+    from spectorus.searchkit import search
+
+    profiles = [classify(PLASTIC), classify(GOLDEN), classify(cubic(-10**200, 3))]
+    profiles += [e.profile for e in search(3, 12).accepted + search(2, 30).accepted]
+    for profile in profiles:
+        lo, hi = profile.lam
+        assert profile.lambda_float == float((lo + hi) / 2)
+        for e in (profile.big_root, *profile.small_roots):
+            assert (e.re, e.im) == (float(Fraction(e.a, 1 << e.k)), float(Fraction(e.b, 1 << e.k)))
+    # lambda_float is computed once per profile
+    common, calls = spectra._common_numerators, []
+
+    def counting(lo, hi):
+        calls.append((lo, hi))
+        return common(lo, hi)
+
+    monkeypatch.setattr(spectra, "_common_numerators", counting)
+    fresh = classify(PLASTIC)
+    assert [fresh.lambda_float for _ in range(3)] == [profiles[0].lambda_float] * 3
+    assert len(calls) == 1
+    # past the float range both raise as float(Fraction(...)) does
+    huge = classify(quadratic(int("1" + "7" * 400)))
+    with pytest.raises(OverflowError):
+        huge.lambda_float
+    with pytest.raises(OverflowError):
+        huge.big_root.re
+    with pytest.raises(OverflowError):
+        classify(cubic(-int("7" * 400), 0)).big_root.re
+
+
 # ---------------------------------------------------------------- classify
 
 def test_classify_dispatches_to_exact_paths():

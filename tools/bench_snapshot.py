@@ -5,11 +5,11 @@ Usage, from anywhere:
     python3 tools/bench_snapshot.py --pr N [--checkout DIR] [--seed 1] [--seconds 15]
 
 It runs `python3 perfbench/run.py` in the checkout (default: this one) for the
-four workloads at `--trace 0` and once for box-reject at `--trace 1`, and
-writes BENCH_<pr>.json next to this repository's README with:
+four workloads at `--trace 0` and once each for box-reject and box-accept at
+`--trace 1`, and writes BENCH_<pr>.json next to this repository's README with:
 - the end-to-end metrics of each workload, with its correct/attempted/failed;
-- the per-layer table of the traced box-reject round, with the layer names
-  whose meaning no longer matches the code marked stale;
+- the per-layer table of each traced workload, keyed by workload, with the
+  layer names whose meaning no longer matches the code marked stale;
 - the six canonical report sha256 values of the two box workloads;
 - `wc -l src/spectorus/*.py` of the checkout and `len(spectorus.__all__)`;
 - the checkout's tier-1 pass count and criterion 1's time, from one run of
@@ -31,18 +31,11 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("box-reject", "box-accept", "certify-single", "verify-geometry")
-TRACED = "box-reject"
+TRACED = ("box-reject", "box-accept")
 
-# layer names of the traced table whose meaning no longer matches the code,
+# layer names of the traced tables whose meaning no longer matches the code,
 # with why (ROADMAP item 1a holds the repair of the tracer)
-STALE = {
-    "spectra.exit.isolation": "counts classify's exits only; no box-reject candidate "
-    "reaches classify, since the search's array route sends the rows it leaves "
-    "open to spectra._decide, so it reads 0",
-    "spectra.exit.sturm": "counts classify's exits only; the Sturm exits of the "
-    "search's array route happen in spectra._decide, so it reads 0",
-    "rootcert.sturm_chain.useful_ratio": "divides classify's Sturm and isolation "
-    "exits, 0 on box-reject, by the chains that spectra._decide builds, so it reads 0",
+STALE_ANY = {
     "numpy.eigvals.calls": "proxies rootcert.np.linalg.eigvals, which nothing in src/ calls",
     "numpy.eigvals.self_s": "proxies rootcert.np.linalg.eigvals, which nothing in src/ calls",
     "mpmath.polyval.calls": "proxies rootcert.mpmath.polyval, which nothing in src/ calls",
@@ -51,11 +44,28 @@ STALE = {
     "exactnum.nth_root_bounds.self_s": "wraps spectra.nth_root_bounds, which nothing in spectra calls",
     "rootcert.isolate_roots.calls": "wraps spectra.isolate_roots, a name item 2 deletes",
     "rootcert.isolate_roots.self_s": "wraps spectra.isolate_roots, a name item 2 deletes",
-    "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes; "
-    "it counts the chains that spectra._decide builds for the search's open rows",
+    "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes",
     "rootcert.sturm_chain.self_s": "wraps spectra.sturm_chain, a name item 6 deletes",
     "rootcert.variations_at.calls": "wraps spectra.variations_at, a name item 6 deletes",
     "rootcert.variations_at.self_s": "wraps spectra.variations_at, a name item 6 deletes",
+    "exactnum.bisect_root_dyadic.calls": "wraps spectra.bisect_root_dyadic, which "
+    "spectra._alpha_bracket calls only when the cell of its Newton guess fails the "
+    "sign check, so it counts those fallbacks (0 on the pinned boxes), not alpha's "
+    "brackets",
+    "exactnum.bisect_root_dyadic.self_s": "wraps spectra.bisect_root_dyadic, which "
+    "runs only as spectra._alpha_bracket's fallback; alpha's Newton steps count in "
+    "spectra.exact_test_q2.self_s",
+}
+STALE_BOX_REJECT = {
+    "spectra.exit.isolation": "counts classify's exits only; no box-reject candidate "
+    "reaches classify, since the search's array route sends the rows it leaves "
+    "open to spectra._decide, so it reads 0",
+    "spectra.exit.sturm": "counts classify's exits only; the Sturm exits of the "
+    "search's array route happen in spectra._decide, so it reads 0",
+    "rootcert.sturm_chain.useful_ratio": "divides classify's Sturm and isolation "
+    "exits, 0 on box-reject, by the chains that spectra._decide builds, so it reads 0",
+    "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes; "
+    "it counts the chains that spectra._decide builds for the search's open rows",
     "spectra.exit.screen": "the search's array screens decide screened candidates "
     "without calling classify, so it reads 0",
     "spectra.classify.calls": "the search's array route calls spectra._decide, not "
@@ -63,6 +73,7 @@ STALE = {
     "spectra.classify.self_s": "the search's array route calls spectra._decide, not "
     "classify, so it reads 0 on box-reject",
 }
+STALE = {"box-reject": {**STALE_ANY, **STALE_BOX_REJECT}, "box-accept": STALE_ANY}
 
 
 def run_harness(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -142,8 +153,15 @@ def main(argv=None) -> int:
         end_to_end[workload] = {k: v["value"] for k, v in final["metrics"].items()}
         runs[workload] = {k: final[k] for k in ("correct", "attempted", "failed")}
         sha256.update(result["details"].get("sha256", {}))
-    traced = run_harness(checkout, TRACED, args.seed, args.seconds, 1)
-    layers = {k: v["value"] for k, v in traced["final"]["metrics"].items()}
+    layers = {}
+    for workload in TRACED:
+        final = run_harness(checkout, workload, args.seed, args.seconds, 1)["final"]
+        metrics = {k: v["value"] for k, v in final["metrics"].items()}
+        layers[workload] = {
+            "correct": final["correct"],
+            "metrics": metrics,
+            "stale": {k: STALE[workload][k] for k in metrics if k in STALE[workload]},
+        }
 
     snapshot = {
         "pr": args.pr,
@@ -158,12 +176,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "end_to_end": end_to_end,
         "runs": runs,
-        "layers": {
-            "workload": TRACED,
-            "correct": traced["final"]["correct"],
-            "metrics": layers,
-            "stale": {k: STALE[k] for k in layers if k in STALE},
-        },
+        "layers": layers,
         "sha256": sha256,
         "src_lines": src_lines(checkout),
         "all_exports": export_count(checkout),
