@@ -204,17 +204,29 @@ def disk_root_count(coeffs, u: int, v: int) -> int | None:
         p.append(c * up * vp)
         up *= u
         vp //= v
-    count, sign = 0, 1
-    for m in range(n, 0, -1):
+    count, zero = _schur_cohn(p)
+    return None if zero else count
+
+
+def _schur_cohn(p: list, primitive: bool = True):
+    """(count, zero): disk_root_count's recursion on the ascending coefficients
+    p, where zero tells whether some gamma is 0 (then count means nothing).
+
+    Each p[j] may be an int or a numpy object array of ints, one row each: the
+    steps use only +, -, * and comparisons. The search's array stage passes
+    primitive=False; dividing by a positive content changes no sign of gamma.
+    """
+    count, sign, zero = 0, 1, False
+    for m in range(len(p) - 1, 0, -1):
         a0, am = p[0], p[m]
         gamma = a0 * a0 - am * am
-        if gamma == 0:
-            return None
-        if gamma < 0:
-            count += sign * m
-            sign = -sign
-        p = _primitive([a0 * p[j] - am * p[m - j] for j in range(m)])
-    return count
+        zero = zero | (gamma == 0)
+        flip = gamma < 0
+        count = count + sign * m * flip
+        sign = sign - 2 * sign * flip
+        p = [a0 * p[j] - am * p[m - j] for j in range(m)]
+        p = _primitive(p) if primitive else p
+    return count, zero
 
 
 # ---------------------------------------------------------------------------

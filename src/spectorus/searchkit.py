@@ -7,9 +7,10 @@ the leading interior coefficient so that any worker count produces the same
 report bytes; the only shared step is an ordered merge. Every walk over a
 box reads the int64 coefficient grids of _grids. From degree 4 on, a shard
 runs classify's sign screens, small-prime squarefree proof and Descartes
-counts as array operations on its grids; only the candidates those leave open
-become IntPolynomial objects, and they enter classify's later stages with the
-grid's values.
+counts as array operations on its grids, then the disk search's first two
+counts, at |z| < 1/2 and |z| < 3/4, on the rows that reach it; only the
+candidates those leave open become IntPolynomial objects, and they enter
+classify's later stages with the grid's values.
 """
 from __future__ import annotations
 
@@ -29,9 +30,11 @@ from .rootcert import (
     _SQUAREFREE_PRIMES,
     DEFAULT_PRECISION_CEILING,
     MIN_PRECISION_BITS,
+    _schur_cohn,
     _squarefree_mod,
 )
 from .spectra import (
+    MODULUS_SEPARATION,
     REJECTED,
     UNDECIDED,
     SpectralProfile,
@@ -239,12 +242,44 @@ def _array_stages(grid: np.ndarray):
     return screen, _squarefree_flags(grid), above, below
 
 
+def _first_radii(grid: np.ndarray) -> np.ndarray:
+    """Per disk-route row (open, squarefree, Descartes counts (1, 0)): the
+    roots spectra._disk_search's first count finds in |z| < 1/2 or |z| < 3/4,
+    or 0 when neither rejects.
+
+    Its descent lands on rho = 1/2 exactly when P(2**q) > 0, as P is negative
+    between 1 and its one real root above 1 and positive past it. A count of 0
+    or no verdict there moves it to 3/4, counted when P((4/3)**q) > 0. Each
+    count runs _schur_cohn, exact on Python ints in object arrays, on the
+    columns c_i * u**i * v**(n - i) of v**n * P(u*z/v), without the content
+    division: dividing by a positive gcd changes no sign of gamma.
+    """
+    c = grid.astype(object)
+    n = c.shape[1] - 1
+    q = n - 1
+
+    def weights(a, b):
+        return np.array([a**i * b ** (n - i) for i in range(n + 1)], dtype=object)
+
+    found = np.zeros(len(c), dtype=np.int64)
+    rows = np.arange(len(c))
+    for u, v in ((1, 2), (3, 4)):
+        # u/v < 1/lambda: u**(q*n) * P((v/u)**q) > 0
+        rows = rows[c[rows] @ weights(v**q, u**q) > 0]
+        count, zero = _schur_cohn(list((c[rows] * weights(u, v)).T), primitive=False)
+        hit = (count > 0) & ~zero
+        found[rows[hit]] = count[hit]
+        rows = rows[~hit]
+    return found
+
+
 def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
     """(P, profile) for each candidate of the shard the arrays leave open, in
     enumeration order; the candidates they decide are counted into reasons.
 
     The constant term always passes here. A screen verdict stands once a small
-    prime proves P squarefree; every other row enters classify's later stages
+    prime proves P squarefree. A disk-route row that _first_radii rejects is
+    modulus_separation; every other row enters classify's later stages
     (spectra._decide) with its grid values.
     """
     table = _screen_table(degree)
@@ -255,6 +290,11 @@ def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
         for code, count in enumerate(np.bincount(screen[decided], minlength=len(table))):
             if count:
                 reasons[table[code][0]] += int(count)
+        disk = np.flatnonzero(squarefree & ~decided & (above == 1) & (below == 0))
+        separated = disk[_first_radii(grid[disk]) > 0]
+        if len(separated):
+            reasons[MODULUS_SEPARATION] += len(separated)
+            decided[separated] = True
         rest = np.flatnonzero(~decided)
         rows = zip(*(a[rest].tolist() for a in (grid, screen, squarefree, above, below)))
         for coeffs, code, proven, n_above, n_below in rows:

@@ -344,15 +344,16 @@ def _disk_search(P: IntPolynomial, q: int, max_precision_bits: int) -> SpectralP
             hi = mid
         else:
             lo = mid
-    u, k = 1, hi
+    # below(1, hi) is proven, by the descent's last probe or the reversed Cauchy bound
+    u, k, proven = 1, hi, True
     while k <= max_precision_bits:
-        if below(u, k):
+        if proven or below(u, k):
             count = disk_root_count(coeffs, u, 1 << k)
             if count:
                 detail = f"{count} root{'s' * (count > 1)} in |z| < {u}/{1 << k} < 1/lambda"
                 return _rejected(P, q, MODULUS_SEPARATION, detail)
             u += 1  # up: the bracket above rho
-        u, k = 2 * u - 1, k + 1  # the midpoint of [(u - 1)/2**k, u/2**k]
+        u, k, proven = 2 * u - 1, k + 1, False  # the midpoint of [(u - 1)/2**k, u/2**k]
     return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
 
 

@@ -336,6 +336,25 @@ def test_disk_root_count_examples():
     assert disk_root_count((1, 3, 1), 1, 1) is None
 
 
+def test_schur_cohn_on_columns_equals_disk_root_count_row_for_row():
+    # the search's array stage runs the recursion on object-array columns
+    # without the content division; each row must get disk_root_count's answer
+    rng = np.random.default_rng(2701)
+    outcomes = set()
+    for n, size in ((4, 2), (5, 3), (6, 10), (7, 1)):
+        rows = [tuple(r) for r in rng.integers(-size, size + 1, (400, n + 1)).tolist()]
+        for u, v in ((1, 1), (1, 2), (3, 4), (5, 8)):
+            scale = [u**i * v ** (n - i) for i in range(n + 1)]
+            columns = [np.array([r[i] * scale[i] for r in rows], dtype=object) for i in range(n + 1)]
+            count, zero = rootcert._schur_cohn(columns, primitive=False)
+            batched = [None if z else c for c, z in zip(count.tolist(), zero.tolist())]
+            scalar = [disk_root_count(r, u, v) for r in rows]
+            assert batched == scalar, (n, u, v)
+            outcomes.update(scalar)
+    # rows with no verdict (|a_0| = |a_m| at some step), none and some roots inside
+    assert {None, 0, 1, 2} <= outcomes
+
+
 # ---------------------------------------------------------------- enclosures
 # isolate_roots takes the accepted cubic X^3 + aX^2 + bX - 1 with a bracket of
 # its real root, as spectra._accepted does, and returns the pair's disks;

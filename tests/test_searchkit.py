@@ -3,14 +3,29 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly
-from spectorus.rootcert import squarefree_by_small_primes, variations_above_one
-from spectorus.spectra import EXACT_Q1, EXACT_Q2, UNDECIDED, SpectralProfile, _sign_screen
+from spectorus.exactnum import sign_at
+from spectorus.rootcert import (
+    DEFAULT_PRECISION_CEILING,
+    disk_root_count,
+    squarefree_by_small_primes,
+    variations_above_one,
+)
+from spectorus.spectra import (
+    EXACT_Q1,
+    EXACT_Q2,
+    MODULUS_SEPARATION,
+    UNDECIDED,
+    SpectralProfile,
+    _sign_screen,
+)
 from spectorus import searchkit, spectra
 from spectorus.searchkit import (
     SearchReport,
@@ -344,7 +359,15 @@ def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
             return SpectralProfile(P, q, UNDECIDED, reason="precision_ceiling")
         return real_disk_search(P, q, max_bits)
 
+    real_first_radii = searchkit._first_radii
+
+    def held_out(grid):  # the array stage leaves the targets open for the stub
+        found = real_first_radii(grid)
+        found[np.array([IntPolynomial(tuple(r)) in targets for r in grid.tolist()], dtype=bool)] = 0
+        return found
+
     monkeypatch.setattr(spectra, "_disk_search", stub)
+    monkeypatch.setattr(searchkit, "_first_radii", held_out)
     in_order = tuple(P for P in enumerate_candidates(4, 2) if P in targets)
     reports = [search(4, 2, workers=1), search(4, 2, workers=3)]
     assert set(stubbed) == targets
@@ -355,6 +378,68 @@ def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
         listed = json.loads(report.canonical_json())["undecided"]
         assert listed == [P.to_json() for P in in_order]
     assert reports[0].canonical_json() == reports[1].canonical_json()
+
+
+@pytest.mark.parametrize(
+    "degree, bound, det_one, lead",
+    [(6, 3, True, None), (5, 4, True, None), (4, 8, True, None), (6, 2, False, None), (6, 10, True, 0)],
+    ids=["6/3", "5/4", "4/8", "gl-6/2", "6/10-lead-0"],
+)
+def test_first_radii_agree_with_the_disk_search(monkeypatch, degree, bound, det_one, lead):
+    # every disk-route row: a row the array stage rejects gets the same count
+    # from the scalar walk at 1/2 or 3/4, and a row it leaves open ends elsewhere
+    seen = []
+    real_first_radii = searchkit._first_radii
+
+    def recording(grid):
+        found = real_first_radii(grid)
+        seen.extend(zip(grid.tolist(), found.tolist()))
+        return found
+
+    monkeypatch.setattr(searchkit, "_first_radii", recording)
+    if lead is None:
+        search(degree, bound, det_one=det_one)
+    else:
+        searchkit._run_shard((degree, bound, det_one, lead, DEFAULT_PRECISION_CEILING))
+    rungs = Counter()
+    for coeffs, count in seen:
+        P = IntPolynomial(tuple(coeffs))
+        profile = spectra._disk_search(P, degree - 1, DEFAULT_PRECISION_CEILING)
+        radius = profile.detail and profile.detail.split(" < ")[1]
+        if count:
+            assert profile.reason == MODULUS_SEPARATION, P
+            assert profile.detail == f"{count} root{'s' * (count > 1)} in |z| < {radius} < 1/lambda"
+            assert radius in ("1/2", "3/4"), P
+            rungs[radius] += 1
+        else:
+            assert radius not in ("1/2", "3/4"), P
+    assert rungs["1/2"] and rungs["3/4"] and len(seen) > sum(rungs.values())
+
+
+def test_first_radii_equal_the_first_two_probes_row_for_row():
+    # _disk_search's opening on P(2**q) > 0: a count at 1/2, then at 3/4 when
+    # P((4/3)**q) > 0, the first count of at least one root deciding
+    rng = np.random.default_rng(27)
+    for n in (4, 5, 6):
+        q = n - 1
+        rows = rng.integers(-6, 7, (600, n + 1))
+        rows[:, 0] = rng.choice((-1, 1), len(rows))
+        rows[:, n] = 1
+        rows[::2, n] = 2**n * rows[::2, 0]  # gamma = 0 in the first step at 1/2
+        expected, zeros = [], 0
+        for r in rows.tolist():
+            found = 0
+            for u, v in ((1, 2), (3, 4)):
+                if sign_at(r, Fraction(v**q, u**q)) <= 0:
+                    break
+                count = disk_root_count(r, u, v)
+                zeros += count is None
+                if count:
+                    found = count
+                    break
+            expected.append(found)
+        assert searchkit._first_radii(rows).tolist() == expected
+        assert zeros and 0 in expected and any(expected)
 
 
 # ---------------------------------------------------------------- cross-check

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench_snapshot.py --pr N [--checkout DIR] [--seed 1] [--seconds 15]
+    python3 tools/bench_snapshot.py --pr N [--checkout DIR] [--commit REV] [--seed 1] [--seconds 15]
 
 It runs `python3 perfbench/run.py` in the checkout (default: this one) for the
 four workloads at `--trace 0` and once each for box-reject and box-accept at
@@ -13,7 +13,9 @@ four workloads at `--trace 0` and once each for box-reject and box-accept at
 - the six canonical report sha256 values of the two box workloads;
 - `wc -l src/spectorus/*.py` of the checkout and `len(spectorus.__all__)`;
 - the checkout's tier-1 pass count and criterion 1's time, from one run of
-  `python -m pytest -q --continue-on-collection-errors` in it.
+  `python -m pytest -q --continue-on-collection-errors` in it;
+- the checkout's commit: `--commit`, for a copy made by `git archive`, which
+  has no .git; otherwise `git describe` in the checkout.
 
 It only calls the harness and reads what the harness writes under
 perfbench/results/; it changes nothing in perfbench/ or BENCHMARK.json.
@@ -48,6 +50,10 @@ STALE_ANY = {
     "rootcert.sturm_chain.self_s": "wraps spectra.sturm_chain, a name item 6 deletes",
     "rootcert.variations_at.calls": "wraps spectra.variations_at, a name item 6 deletes",
     "rootcert.variations_at.self_s": "wraps spectra.variations_at, a name item 6 deletes",
+    "numpy.roots.calls": "proxies searchkit.np.roots, which nothing in src/ calls: "
+    "cross_check makes one batched eigvals call",
+    "numpy.roots.self_s": "proxies searchkit.np.roots, which nothing in src/ calls: "
+    "cross_check makes one batched eigvals call",
     "exactnum.bisect_root_dyadic.calls": "wraps spectra.bisect_root_dyadic, which "
     "spectra._alpha_bracket calls only when the cell of its Newton guess fails the "
     "sign check, so it counts those fallbacks (0 on the pinned boxes), not alpha's "
@@ -141,6 +147,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the output name")
     ap.add_argument("--checkout", default=REPO, help="root of the checkout to measure")
+    ap.add_argument("--commit", help="the checkout's commit (default: git describe in it)")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=15)
     args = ap.parse_args(argv)
@@ -165,7 +172,7 @@ def main(argv=None) -> int:
 
     snapshot = {
         "pr": args.pr,
-        "commit": git_head(checkout),
+        "commit": args.commit or git_head(checkout),
         "machine": {
             "python": platform.python_version(),
             "platform": platform.platform(),
