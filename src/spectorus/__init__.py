@@ -58,7 +58,6 @@ _EXPORTS = {
     ),
     "otkahler": (
         "HyperPoint",
-        "HermitianMatrixSample",
         "u_value",
         "F_value",
         "wirtinger_gradient",

@@ -71,8 +71,15 @@ def dyadic_abs_bounds(re: int, im: int, e: int) -> tuple[Fraction, Fraction]:
     return Fraction(isqrt(m2), den), Fraction(isqrt_ceil(m2), den)
 
 
+def _sign(x):
+    """-1, 0 or 1 by the sign of x: an int, or elementwise on a numpy array."""
+    return 1 * (x > 0) - (x < 0)
+
+
 def _scaled_value(coeffs, num: int, den: int) -> int:
-    """den**n * P(num/den) exactly; for den > 0 its sign is that of P(num/den)."""
+    """den**n * P(num/den) exactly; for den > 0 its sign is that of P(num/den).
+    The one sign probe at a rational point: each coefficient may be an int or
+    a numpy array of them, one row each, and the value is then a column."""
     v = coeffs[-1]
     dk = 1
     for c in reversed(coeffs[:-1]):
@@ -89,8 +96,7 @@ def _common_numerators(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
 
 def sign_at(coeffs, x: Fraction) -> int:
     """Exact sign of sum(c_j * X**j) at the rational X = x."""
-    v = _scaled_value(coeffs, x.numerator, x.denominator)
-    return (v > 0) - (v < 0)
+    return _sign(_scaled_value(coeffs, x.numerator, x.denominator))
 
 
 def bisect_root_dyadic(
@@ -113,7 +119,7 @@ def bisect_root_dyadic(
         if vm == 0:
             # mid -+ (hi - lo)/4, over the denominator 2 * den
             return Fraction(2 * M - H + L, den << 1), Fraction(2 * M + H - L, den << 1)
-        if (vm > 0) - (vm < 0) == slo:
+        if _sign(vm) == slo:
             L, H = M, H << 1
         else:
             L, H = L << 1, M

@@ -6,7 +6,8 @@ left by its real root, which exact bisection brackets. One a-posteriori
 radius in the same integer arithmetic, on a disk that stays off the real
 axis, proves that each returned disk contains exactly one root. Real-root
 counts come from integer Sturm chains or Descartes' rule, and root counts in
-a disk from the Schur-Cohn recursion: no floating point.
+a disk from the Schur-Cohn recursion: no floating point. The Descartes and
+disk counts branch on no value, so they also run on the search's columns.
 """
 from __future__ import annotations
 
@@ -17,7 +18,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .exactnum import bisect_root_dyadic, dyadic_abs_bounds, dyadic_eval, isqrt_ceil, sign_at
+from .exactnum import (
+    _sign,
+    bisect_root_dyadic,
+    dyadic_abs_bounds,
+    dyadic_eval,
+    isqrt_ceil,
+    sign_at,
+)
 from .intpoly import IntPolynomial
 
 DEFAULT_PRECISION_CEILING = 4096
@@ -143,15 +151,13 @@ def squarefree_by_small_primes(coeffs: tuple[int, ...]) -> bool:
     )
 
 
-def _variations(signs: list[int]) -> int:
-    out = 0
-    prev = 0
+def _variations(signs: list) -> int:
+    """Sign variations of a sequence of signs, zeros skipped; elementwise when
+    the signs are numpy arrays."""
+    out = prev = 0
     for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
+        out = out + (s * prev < 0)
+        prev = s + prev * (s == 0)  # the last nonzero sign
     return out
 
 
@@ -162,7 +168,7 @@ def variations_at(chain: list[list[int]], x: Fraction) -> int:
 def variations_at_infinity(chain: list[list[int]], positive: bool) -> int:
     signs = []
     for cs in chain:
-        s = (cs[-1] > 0) - (cs[-1] < 0)
+        s = _sign(cs[-1])
         if not positive and (len(cs) - 1) % 2:
             s = -s
         signs.append(s)
@@ -174,14 +180,15 @@ def variations_above_one(coeffs) -> int:
 
     By Descartes' rule this bounds the number of roots of P above 1 and has
     the same parity; so 0 proves none and 1 proves exactly one (Collins and
-    Akritas, 1976). The Taylor shift by 1 is integer work, O(n**2).
+    Akritas, 1976). The Taylor shift by 1 is integer work, O(n**2). Each
+    coefficient may be an int or a numpy array of them, one row each.
     """
     a = list(coeffs)
     n = len(a) - 1
     for i in range(n):
         for j in range(n - 1, i - 1, -1):
-            a[j] += a[j + 1]
-    return _variations([(c > 0) - (c < 0) for c in a])
+            a[j] = a[j] + a[j + 1]  # not +=: that would write into a column's grid
+    return _variations([_sign(c) for c in a])
 
 
 def disk_root_count(coeffs, u: int, v: int) -> int | None:
@@ -197,15 +204,15 @@ def disk_root_count(coeffs, u: int, v: int) -> int | None:
     none: (u/v)**2 = z*conj(z) would be a rational algebraic integer below 1.
     None means some gamma is 0: no verdict.
     """
-    n = len(coeffs) - 1
-    p = []
-    up, vp = 1, v**n
-    for c in coeffs:
-        p.append(c * up * vp)
-        up *= u
-        vp //= v
-    count, zero = _schur_cohn(p)
+    count, zero = _schur_cohn(_disk_coefficients(coeffs, u, v))
     return None if zero else count
+
+
+def _disk_coefficients(coeffs, u: int, v: int) -> list:
+    """The ascending coefficients c_i * u**i * v**(n - i) of v**n * P(u*z/v);
+    each c_i may be an int or a numpy object array of ints, one row each."""
+    n = len(coeffs) - 1
+    return [c * (u**i * v ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 def _schur_cohn(p: list, primitive: bool = True):
@@ -266,12 +273,6 @@ class RootEnclosure:
         lo, hi = dyadic_abs_bounds(self.a, self.b, self.k)
         lo -= self.radius
         return (lo if lo > 0 else Fraction(0)), hi + self.radius
-
-    def real_interval(self) -> tuple[Fraction, Fraction]:
-        if not self.is_real_certified:
-            raise ValueError("enclosure is not certified real")
-        c = Fraction(self.a, 1 << self.k)
-        return c - self.radius, c + self.radius
 
     def to_json(self) -> dict:
         return {
@@ -337,7 +338,9 @@ def isolate_roots(
     proves the upper center's disk off the real axis, so each disk holds
     exactly one root. k climbs the precision ladder until the radius is below
     1e-24. alpha is irrational: a rational root would be +-1, and
-    P(1) = a + b < 0, so no bisection midpoint is a root.
+    P(1) = a + b < 0, so no bisection midpoint is a root. No center is a root
+    either, so a radius at k is at least 2**-k: a rung where that misses the
+    target is skipped.
     """
     coeffs = P.coeffs
     lo, hi = alpha
@@ -345,6 +348,8 @@ def isolate_roots(
     half = 1 << (guard + 1)
     for prec in _precision_ladder(max_precision_bits):
         k = prec + 8
+        if _TARGET_RADIUS * (1 << k) < 1:
+            continue  # no radius of this rung meets the target
         m = k + guard
         if (hi - lo) * (1 << m) > 1:  # this rung needs a finer bracket
             lo, hi = bisect_root_dyadic(coeffs, lo, hi, m)

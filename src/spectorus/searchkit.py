@@ -6,11 +6,12 @@ and aggregates the verdicts into a deterministic report. Work is sharded by
 the leading interior coefficient so that any worker count produces the same
 report bytes; the only shared step is an ordered merge. Every walk over a
 box reads the int64 coefficient grids of _grids. From degree 4 on, a shard
-runs classify's sign screens, small-prime squarefree proof and Descartes
-counts as array operations on its grids, then the disk search's first two
-counts, at |z| < 1/2 and |z| < 3/4, on the rows that reach it; only the
-candidates those leave open become IntPolynomial objects, and they enter
-classify's later stages with the grid's values.
+runs classify's own sign screens, Descartes counts and sign probes on the
+coefficient columns of its grids, one row per entry, with the small-prime
+squarefree proof and then the disk search's first two counts, at
+|z| < 1/2 and |z| < 3/4, on the rows that reach it; only the candidates
+those leave open become IntPolynomial objects, and they enter classify's
+later stages with the grid's values.
 """
 from __future__ import annotations
 
@@ -20,16 +21,17 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
-from math import comb
 from multiprocessing import get_context
 
 import numpy as np
 
+from .exactnum import _scaled_value
 from .intpoly import IntPolynomial
 from .rootcert import (
     _SQUAREFREE_PRIMES,
     DEFAULT_PRECISION_CEILING,
     MIN_PRECISION_BITS,
+    _disk_coefficients,
     _schur_cohn,
     _squarefree_mod,
 )
@@ -39,7 +41,9 @@ from .spectra import (
     UNDECIDED,
     SpectralProfile,
     _decide,
+    _descartes_counts,
     _screen_verdict,
+    _sign_screen,
     classify,
     replay_case_even,
     replay_case_odd,
@@ -103,11 +107,6 @@ class SearchReport:
     candidate_count: int
     wall_time: float
 
-    def counts_consistent(self) -> bool:
-        return (
-            len(self.accepted) + sum(self.rejected.values()) + len(self.undecided)
-        ) == self.candidate_count
-
     def to_json(self) -> dict:
         return {
             "degree": self.degree,
@@ -155,9 +154,9 @@ def _int64_exact(degree: int, bound: int) -> bool:
     """Whether the array screens of a degree-n box at this bound are exact in int64.
 
     A coefficient of P(X + 1) or P(-X - 1) is a sum of c_i * C(i, j) over
-    i >= j, bounded with every partial sum by bound * C(n + 1, j + 1) <=
-    bound * 2**n, which must stay below 2**63; P(+-1) is smaller. The base-7
-    residue codes of the squarefree lookup are below 7**(n + 1).
+    i >= j, bounded by bound * C(n + 1, j + 1) <= bound * 2**n < 2**63, and
+    so is each entry of the Taylor shift and P(+-1). The base-7 residue codes
+    of the squarefree lookup are below 7**(n + 1).
     """
     return bound << degree < 2**63 and 7 ** (degree + 1) <= 2**63
 
@@ -218,28 +217,13 @@ def _squarefree_flags(grid: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _sign_changes(a: np.ndarray) -> np.ndarray:
-    """Sign variations along each row of a, zeros skipped."""
-    signs = np.sign(a)
-    count = np.zeros(len(a), dtype=np.int64)
-    last = signs[:, 0]
-    for s in signs.T[1:]:
-        count += s * last < 0
-        last = np.where(s != 0, s, last)
-    return count
-
-
 def _array_stages(grid: np.ndarray):
     """Per row: the screen code, an index into _screen_table, the small-prime
-    squarefree flag, and the Descartes counts variations_above_one of P and of
-    P(-X)."""
-    n = grid.shape[1] - 1
-    alt = np.array([(-1) ** i for i in range(n + 1)], dtype=np.int64)
-    pascal = np.array([[comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
-    screen = 3 * np.sign(grid.sum(axis=1)) + np.sign(grid @ alt) + 4
-    above = _sign_changes(grid @ pascal)  # P(X + 1)
-    below = _sign_changes((grid * alt) @ pascal)  # P(-X - 1)
-    return screen, _squarefree_flags(grid), above, below
+    squarefree flag, and the Descartes counts, by classify's own _sign_screen
+    and _descartes_counts on the grid's columns."""
+    cols = list(grid.T)
+    s1, sm1 = _sign_screen(cols)
+    return 3 * s1 + sm1 + 4, _squarefree_flags(grid), *_descartes_counts(cols)
 
 
 def _first_radii(grid: np.ndarray) -> np.ndarray:
@@ -249,27 +233,23 @@ def _first_radii(grid: np.ndarray) -> np.ndarray:
 
     Its descent lands on rho = 1/2 exactly when P(2**q) > 0, as P is negative
     between 1 and its one real root above 1 and positive past it. A count of 0
-    or no verdict there moves it to 3/4, counted when P((4/3)**q) > 0. Each
-    count runs _schur_cohn, exact on Python ints in object arrays, on the
-    columns c_i * u**i * v**(n - i) of v**n * P(u*z/v), without the content
-    division: dividing by a positive gcd changes no sign of gamma.
+    or no verdict there moves it to 3/4, counted when P((4/3)**q) > 0. The
+    probe is _disk_search's _scaled_value and the count disk_root_count's
+    _disk_coefficients and _schur_cohn, exact on the grid's columns as Python
+    ints in object arrays, without the content division.
     """
-    c = grid.astype(object)
-    n = c.shape[1] - 1
-    q = n - 1
-
-    def weights(a, b):
-        return np.array([a**i * b ** (n - i) for i in range(n + 1)], dtype=object)
-
-    found = np.zeros(len(c), dtype=np.int64)
-    rows = np.arange(len(c))
+    cols = list(grid.astype(object).T)
+    q = len(cols) - 2
+    found = np.zeros(len(grid), dtype=np.int64)
+    rows = np.arange(len(grid))
     for u, v in ((1, 2), (3, 4)):
         # u/v < 1/lambda: u**(q*n) * P((v/u)**q) > 0
-        rows = rows[c[rows] @ weights(v**q, u**q) > 0]
-        count, zero = _schur_cohn(list((c[rows] * weights(u, v)).T), primitive=False)
+        keep = _scaled_value(cols, v**q, u**q) > 0
+        rows, cols = rows[keep], [c[keep] for c in cols]
+        count, zero = _schur_cohn(_disk_coefficients(cols, u, v), primitive=False)
         hit = (count > 0) & ~zero
         found[rows[hit]] = count[hit]
-        rows = rows[~hit]
+        rows, cols = rows[~hit], [c[~hit] for c in cols]
     return found
 
 

@@ -22,6 +22,8 @@ from functools import cached_property
 
 from .exactnum import (
     _common_numerators,
+    _scaled_value,
+    _sign,
     bisect_root_dyadic,
     frac_to_decimal,
     nth_root_bounds,  # not called here: kept only for perfbench/tracer.py's wrapper
@@ -194,9 +196,9 @@ def _alpha_bracket(coeffs: tuple[int, ...], bound: int, bits: int) -> tuple[Frac
     j = (_alpha_newton(coeffs, bound, m) - (1 << m)) // (w << (m - s))
     den = 1 << s
     for cell in (j, j - 1, j + 1):
-        lo, hi = Fraction(den + cell * w, den), Fraction(den + (cell + 1) * w, den)
-        if sign_at(coeffs, lo) < 0 < sign_at(coeffs, hi):
-            return lo, hi
+        lo, hi = den + cell * w, den + (cell + 1) * w
+        if _scaled_value(coeffs, lo, den) < 0 < _scaled_value(coeffs, hi, den):
+            return Fraction(lo, den), Fraction(hi, den)
     return bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits)
 
 
@@ -288,7 +290,8 @@ def _screen_verdict(n: int, s1: int, sm1: int) -> tuple[str, str] | None:
 
     A valid layout has exactly one real root above 1 (odd count makes
     P(1) < 0) and no root at or below -1 (even count, none at -1, makes
-    (-1)**n * P(-1) > 0). The search's array screens read their verdicts here.
+    (-1)**n * P(-1) > 0). The search's array screens read their verdicts here,
+    indexed by 3*s1 + sm1 + 4.
     """
     if s1 == 0:
         return BOUNDARY_ROOT, "root at 1"
@@ -303,12 +306,17 @@ def _screen_verdict(n: int, s1: int, sm1: int) -> tuple[str, str] | None:
     return None
 
 
-def _sign_screen(P: IntPolynomial) -> tuple[str, str] | None:
-    """(reason, detail) of the exact sign screens at +-1, or None when both pass."""
-    coeffs = P.coeffs
-    p1 = sum(coeffs)
-    pm1 = sum(c if j % 2 == 0 else -c for j, c in enumerate(coeffs))
-    return _screen_verdict(P.degree, (p1 > 0) - (p1 < 0), (pm1 > 0) - (pm1 < 0))
+def _sign_screen(coeffs) -> tuple[int, int]:
+    """The signs of P(1) and P(-1), the inputs of _screen_verdict. Each
+    coefficient may be an int or a numpy array of them, one row each."""
+    return _sign(sum(coeffs)), _sign(sum(coeffs[::2]) - sum(coeffs[1::2]))
+
+
+def _descartes_counts(coeffs) -> tuple[int, int]:
+    """variations_above_one of P and of P(-X), bounds on the real roots above 1
+    and below -1; each coefficient may be an int or a numpy array of them."""
+    mirrored = [-c if j % 2 else c for j, c in enumerate(coeffs)]
+    return variations_above_one(coeffs), variations_above_one(mirrored)
 
 
 def _sturm_counts(chain) -> tuple[int, int]:
@@ -332,7 +340,7 @@ def _disk_search(P: IntPolynomial, q: int, max_precision_bits: int) -> SpectralP
     coeffs = P.coeffs
 
     def below(u: int, k: int) -> bool:  # u/2**k < 1/lambda
-        return sign_at(coeffs, Fraction(1 << (k * q), u**q)) > 0
+        return _scaled_value(coeffs, 1 << (k * q), u**q) > 0
 
     # the descent to the first 2**-j below 1/lambda, by binary search on j;
     # every root has modulus above 1/(1 + max|c_i|): the reversed Cauchy bound
@@ -391,12 +399,9 @@ def classify(
             return exact_test_q1(P)
         if n == 3 and c0 == -1:
             return exact_test_q2(P, max_precision_bits)
-    screen = _sign_screen(P)
+    screen = _screen_verdict(n, *_sign_screen(P.coeffs))
     squarefree = squarefree_by_small_primes(P.coeffs)
-    counts = None
-    if screen is None and squarefree:
-        mirrored = [-c if j % 2 else c for j, c in enumerate(P.coeffs)]  # P(-X)
-        counts = variations_above_one(P.coeffs), variations_above_one(mirrored)
+    counts = _descartes_counts(P.coeffs) if screen is None and squarefree else None
     return _decide(P, screen, squarefree, counts, max_precision_bits)
 
 
@@ -409,7 +414,7 @@ def _decide(
 ) -> SpectralProfile:
     """classify's stages after the exact tests, from the sign screens' verdict
     (see _screen_verdict), the small-prime squarefree proof and the Descartes
-    counts (variations_above_one of P and of P(-X)), or None when not computed.
+    counts (_descartes_counts), or None when not computed.
 
     Stage order: sign screens, squarefree proof, real-root counts (Descartes,
     else Sturm), then Vieta (degrees 2 and 3) or the disk search.

@@ -19,6 +19,13 @@ import spectorus.rootcert as rootcert
 from spectorus.exactnum import dyadic_eval, isqrt_ceil
 
 
+def real_interval(e):
+    """[center - radius, center + radius] of a real-certified enclosure."""
+    assert e.is_real_certified
+    c = Fraction(e.a, 1 << e.k)
+    return c - e.radius, c + e.radius
+
+
 def sturm_real_count(P):
     """The number of real roots of a squarefree P, from its Sturm chain."""
     chain = rootcert.sturm_chain(P.coeffs)

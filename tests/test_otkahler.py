@@ -11,7 +11,6 @@ from spectorus import otkahler
 from spectorus.otkahler import (
     STENCIL_CHUNK,
     F_value,
-    HermitianMatrixSample,
     HyperPoint,
     check_determinant,
     check_first_derivatives,
@@ -118,21 +117,20 @@ def test_first_derivative_scaling_homogeneity():
 # ---------------------------------------------------------------- metric
 
 def test_metric_closed_form_frozen_matrices():
-    h1 = metric_closed_form(point(0, 1.0)).h
+    h1 = metric_closed_form(point(0, 1.0))
     assert h1 == pytest.approx(np.array([[0.5]]))
 
-    h2 = metric_closed_form(point(0, 1.0, 1.0)).h
+    h2 = metric_closed_form(point(0, 1.0, 1.0))
     assert h2 == pytest.approx(0.25 * np.array([[2.0, 1.0], [1.0, 2.0]]))
 
-    h3 = metric_closed_form(point(0, 1.0, 2.0)).h
+    h3 = metric_closed_form(point(0, 1.0, 2.0))
     assert h3 == pytest.approx(np.array([[0.25, 1 / 16], [1 / 16, 1 / 16]]))
 
 
 def test_metric_closed_form_is_hermitian_and_positive():
-    sample = metric_closed_form(point(0.3, 0.7, 1.3, 2.9))
-    assert sample.source == "ClosedForm"
-    assert sample.hermitian_deviation() <= 1e-12
-    assert np.all(np.linalg.eigvalsh(sample.h) > 0)
+    h = metric_closed_form(point(0.3, 0.7, 1.3, 2.9))
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+    assert np.all(np.linalg.eigvalsh(h) > 0)
 
 
 def test_metric_matches_hessian_of_u():
@@ -231,7 +229,7 @@ def test_ricci_negative_definite_across_wide_domain():
             p = point(0, *ys)
             eig = np.linalg.eigvalsh(ricci_closed_form(p))
             assert np.all(eig < 0)
-            assert np.all(np.linalg.eigvalsh(metric_closed_form(p).h) > 0)
+            assert np.all(np.linalg.eigvalsh(metric_closed_form(p)) > 0)
 
 
 # ---------------------------------------------------------------- full report
@@ -386,11 +384,7 @@ def test_verify_ot_report_bytes_match_the_scalar_oracle(s, seed, monkeypatch):
         otkahler, "wirtinger_hessian", lambda f, p, step: _oracle_hessian(_ORACLE_OF[f], p, step)
     )
     monkeypatch.setattr(otkahler, "u_value", _oracle_u)
-    monkeypatch.setattr(
-        otkahler,
-        "metric_closed_form",
-        lambda p: HermitianMatrixSample(p, _oracle_metric(p), "ClosedForm"),
-    )
+    monkeypatch.setattr(otkahler, "metric_closed_form", _oracle_metric)
     assert json.dumps(verify_ot_report(s, samples=20, seed=seed)) == report
 
 

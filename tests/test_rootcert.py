@@ -38,6 +38,7 @@ from spectorus.spectra import PRECISION_CEILING, UNDECIDED, classify
 from isolation_oracle import (
     oracle_certify_stage,
     oracle_isolate as _oracle_isolate,
+    real_interval,
     sturm_real_count,
 )
 
@@ -416,7 +417,7 @@ def test_enclosures_are_pairwise_disjoint():
 
 def test_real_certified_interval_brackets_center():
     e = classify(GOLDEN).big_root
-    lo, hi = e.real_interval()
+    lo, hi = real_interval(e)
     assert float(lo) <= e.re <= float(hi)
     assert lo > 2 and hi < 3
 
@@ -475,6 +476,21 @@ def test_enclosures_tighten_with_target(monkeypatch):
     assert max(e.radius for e in fine) <= Fraction(1, 10**24)
 
 
+def test_isolate_roots_skips_the_rung_that_cannot_meet_the_target(monkeypatch):
+    # every radius _certify_pair builds at k is at least 2**-k, above 1e-24 at
+    # k = 61, so the float rung goes straight to the next one
+    seen = []
+    certify = rootcert._certify_pair
+
+    def recording(coeffs, a, b, k):
+        seen.append(k)
+        return certify(coeffs, a, b, k)
+
+    monkeypatch.setattr(rootcert, "_certify_pair", recording)
+    _isolate(PLASTIC)
+    assert seen == [128]
+
+
 def test_a_cubic_past_the_float_range_is_isolated():
     # X^3 - 10**400 X^2 - 1: neither the coefficient nor the real root fits a
     # double, and the pair, of modulus about 10**-200, comes from the
@@ -484,7 +500,7 @@ def test_a_cubic_past_the_float_range_is_isolated():
     enc = (classify(P).big_root, *pair)
     (big,) = [e for e in enc if e.is_real_certified]
     assert len(enc) == 3 and all(e.radius <= Fraction(1, 10**24) for e in enc)
-    lo, hi = big.real_interval()
+    lo, hi = real_interval(big)
     assert 10**400 - 1 < lo and hi < 10**400 + 1
     lo = hi = Fraction(1)
     for e in enc:

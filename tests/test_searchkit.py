@@ -9,6 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy
 
 from spectorus.intpoly import IntPolynomial, discriminant, parse_poly
 from spectorus.exactnum import sign_at
@@ -24,6 +25,7 @@ from spectorus.spectra import (
     MODULUS_SEPARATION,
     UNDECIDED,
     SpectralProfile,
+    _screen_verdict,
     _sign_screen,
 )
 from spectorus import searchkit, spectra
@@ -34,6 +36,12 @@ from spectorus.searchkit import (
     enumerate_candidates,
     search,
 )
+
+
+def counts_consistent(report: SearchReport) -> bool:
+    """Every candidate of the box is accepted, rejected or undecided, once."""
+    decided = len(report.accepted) + sum(report.rejected.values()) + len(report.undecided)
+    return decided == report.candidate_count
 
 
 # ---------------------------------------------------------------- enumeration
@@ -86,7 +94,7 @@ def test_enumeration_refuses_a_box_int64_cannot_index():
 def test_search_degree2_accepted_set():
     report = search(2, 10)
     assert report.candidate_count == 21
-    assert report.counts_consistent()
+    assert counts_consistent(report)
     accepted = {e.poly for e in report.accepted}
     assert accepted == {IntPolynomial((1, -t, 1)) for t in range(3, 11)}
     for e in report.accepted:
@@ -126,7 +134,7 @@ def test_search_degree4_small_bound_all_rejected():
     assert report.candidate_count == 125
     assert report.accepted == ()
     assert report.undecided == ()
-    assert report.counts_consistent()
+    assert counts_consistent(report)
     assert sum(report.rejected.values()) == 125
     vocabulary = {
         "wrong_constant_term", "not_squarefree", "boundary_root",
@@ -244,7 +252,7 @@ def test_undecided_profiles_propagate_into_report(monkeypatch):
     monkeypatch.setattr(searchkit, "classify", stub)
     report = search(2, 3, workers=1)
     assert report.undecided == (target,)
-    assert report.counts_consistent()
+    assert counts_consistent(report)
     assert json.loads(report.canonical_json())["undecided"] == [target.to_json()]
 
 
@@ -268,7 +276,7 @@ def assert_scalar_stages(rows, table):
     """Each (coeffs, screen code, squarefree flag, count above 1, count below -1)
     row of the array stages equals the scalar stage of classify."""
     for coeffs, screen, squarefree, above, below in rows:
-        assert table[screen] == _sign_screen(IntPolynomial(tuple(coeffs))), coeffs
+        assert table[screen] == _screen_verdict(len(coeffs) - 1, *_sign_screen(coeffs)), coeffs
         assert squarefree == squarefree_by_small_primes(coeffs), coeffs
         assert above == variations_above_one(coeffs), coeffs
         mirrored = [-c if j % 2 else c for j, c in enumerate(coeffs)]
@@ -323,22 +331,66 @@ def test_array_stages_equal_the_scalar_stages(degree, bound, det_one):
     assert_scalar_stages(rows, table)
 
 
-@pytest.mark.parametrize("degree", [4, 20])
-def test_int64_exactness_predicate_edge(degree):
-    # bound * 2**n is the largest Taylor-shift entry the predicate admits
+def int64_edge_rows(degree):
+    """The rows whose coefficients of P(X + 1) or P(-X - 1) are largest at the
+    largest bound _int64_exact admits, bound * 2**n."""
     largest = 2 ** (63 - degree) - 1
-    assert searchkit._int64_exact(degree, largest)
-    assert not searchkit._int64_exact(degree, largest + 1)
-    # at the edge the int64 stages still match the scalar ones on the rows
-    # whose shifted coefficients are largest, for P(X + 1) and for P(-X - 1)
-    table = searchkit._screen_table(degree)
-    extreme = [
+    return [
         [1] + [largest] * (degree - 1) + [1],
         [1] + [largest * (-1) ** i for i in range(1, degree)] + [1],
         [-1] + [-largest] * (degree - 1) + [1],
     ]
+
+
+@pytest.mark.parametrize("degree", [4, 20])
+def test_int64_exactness_predicate_edge(degree):
+    largest = 2 ** (63 - degree) - 1
+    assert searchkit._int64_exact(degree, largest)
+    assert not searchkit._int64_exact(degree, largest + 1)
+    # at the edge the int64 stages still match the scalar ones
+    extreme = int64_edge_rows(degree)
+    table = searchkit._screen_table(degree)
     stages = searchkit._array_stages(np.array(extreme, dtype=np.int64))
     assert_scalar_stages(zip(extreme, *(s.tolist() for s in stages)), table)
+
+
+def sympy_stages(coeffs):
+    """sign P(1), sign P(-1), and the sign variations of P(X + 1) and of
+    P(-X - 1), by sympy."""
+    x = sympy.Symbol("x")
+    P = sympy.Poly(coeffs[::-1], x)
+
+    def variations(poly):
+        signs = [sympy.sign(c) for c in poly.shift(1).all_coeffs() if c]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    mirrored = P.compose(sympy.Poly(-x, x))  # P(-X)
+    return sympy.sign(P.eval(1)), sympy.sign(P.eval(-1)), variations(P), variations(mirrored)
+
+
+def test_array_stages_match_sympy():
+    # an independent reference for the stages the array route shares with
+    # classify, on seeded rows of the box-reject boxes and on the int64 edge
+    rng = np.random.default_rng(28)
+    grids = [np.array(int64_edge_rows(degree), dtype=np.int64) for degree in (4, 20)]
+    for degree, bound in ((4, 8), (5, 4), (6, 3)):
+        rows = np.concatenate(list(searchkit._grids(degree, bound, True, range(-bound, bound + 1))))
+        grids.append(rows[rng.choice(len(rows), 60, replace=False)])
+    for grid in grids:
+        screen, _, above, below = searchkit._array_stages(grid)
+        for coeffs, code, n_above, n_below in zip(grid.tolist(), screen, above, below):
+            assert (code // 3 - 1, code % 3 - 1, n_above, n_below) == sympy_stages(coeffs), coeffs
+
+
+def test_array_stages_leave_their_grid_unchanged():
+    # the stages read the grid's columns as views: an in-place step would
+    # rewrite the candidates the later stages and the scalar route read
+    for degree, bound in ((4, 8), (5, 4), (6, 3)):
+        grid = next(searchkit._grids(degree, bound, True, range(0, 1)))
+        kept = grid.copy()
+        searchkit._array_stages(grid)
+        searchkit._first_radii(grid)
+        assert np.array_equal(grid, kept)
 
 
 def test_int64_exactness_predicate_refuses_codes_past_int64():
@@ -373,7 +425,7 @@ def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
     assert set(stubbed) == targets
     for report in reports:
         assert report.undecided == in_order
-        assert report.counts_consistent()
+        assert counts_consistent(report)
         assert sum(report.rejected.values()) == 125 - 2
         listed = json.loads(report.canonical_json())["undecided"]
         assert listed == [P.to_json() for P in in_order]

@@ -50,7 +50,7 @@ from spectorus.spectra import (
     replay_case_odd,
 )
 
-from isolation_oracle import oracle_isolate
+from isolation_oracle import oracle_isolate, real_interval
 
 GOLDEN = parse_poly("x^2 - 3x + 1")
 PLASTIC = parse_poly("x^3 - x - 1")
@@ -532,10 +532,10 @@ def _chain_first_classify(P, allow_gl=False, force_interval=False):
     encl = oracle_isolate(P, target, real)
     if encl is None:
         return SpectralProfile(P, q, UNDECIDED, reason=PRECISION_CEILING)
-    bigs = [e for e in encl if e.is_real_certified and e.real_interval()[0] > 1]
+    bigs = [e for e in encl if e.is_real_certified and real_interval(e)[0] > 1]
     assert len(bigs) == 1, f"{P.render()} straddles the first pass"
     big = bigs[0]
-    b_lo, b_hi = big.real_interval()
+    b_lo, b_hi = real_interval(big)
     smalls = tuple(e for e in encl if e is not big)
     t_lo = nth_root_bounds(1 / b_hi, q, 100)[0]
     t_hi = nth_root_bounds(1 / b_lo, q, 100)[1]
@@ -707,7 +707,8 @@ def _assert_stages_match_isolation(polys):
     reached = 0
     for P in polys:
         q = P.degree - 1
-        if abs(P.coeffs[0]) != 1 or spectra._sign_screen(P) is not None:
+        screen = spectra._screen_verdict(P.degree, *spectra._sign_screen(P.coeffs))
+        if abs(P.coeffs[0]) != 1 or screen is not None:
             continue
         chain = sturm_chain(P.coeffs)
         if not chain_is_squarefree(chain):
