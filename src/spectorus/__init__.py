@@ -40,7 +40,6 @@ _EXPORTS = {
     ),
     "searchkit": (
         "SearchReport",
-        "enumerate_candidates",
         "search",
         "cross_check",
     ),

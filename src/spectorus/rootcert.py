@@ -221,7 +221,8 @@ def _schur_cohn(p: list, primitive: bool = True):
 
     Each p[j] may be an int or a numpy object array of ints, one row each: the
     steps use only +, -, * and comparisons. The search's array stage passes
-    primitive=False; dividing by a positive content changes no sign of gamma.
+    primitive=False, only up to degree 8, as each step then doubles the bit
+    length; dividing by a positive content changes no sign of gamma.
     """
     count, sign, zero = 0, 1, False
     for m in range(len(p) - 1, 0, -1):

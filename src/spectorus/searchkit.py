@@ -5,10 +5,11 @@ coefficients in [-bound, bound] and unit constant term, classifies each one,
 and aggregates the verdicts into a deterministic report. Work is sharded by
 the leading interior coefficient so that any worker count produces the same
 report bytes; the only shared step is an ordered merge. Every walk over a
-box reads the int64 coefficient grids of _grids. From degree 4 on, a shard
-runs classify's own sign screens, Descartes counts and sign probes on the
-coefficient columns of its grids, one row per entry, with the small-prime
-squarefree proof and then the disk search's first two counts, at
+box reads the int64 coefficient grids of _grids. Degrees 2 and 3 run
+classify one candidate at a time. From degree 4 on, a shard runs classify's
+own sign screens, Descartes counts and sign probes on the coefficient
+columns of its grids, one row per entry, with the small-prime squarefree
+proof and, up to degree 8, the disk search's first two counts, at
 |z| < 1/2 and |z| < 3/4, on the rows that reach it; only the candidates
 those leave open become IntPolynomial objects, and they enter classify's
 later stages with the grid's values.
@@ -50,25 +51,16 @@ from .spectra import (
 )
 
 
-def enumerate_candidates(degree: int, bound: int, det_one: bool = True):
-    """Yield candidate polynomials in lexicographic coefficient order.
-
-    The coefficient tuple is (c_{n-1}, ..., c_1, c_0), highest interior
-    coefficient first; det_one fixes c_0 = (-1)**degree, otherwise c_0 runs
-    over {-1, +1}. No other pruning: the point of the search is exhaustive
-    evidence over the full box.
-    """
-    _box_size(degree, bound, det_one, "enumerate_candidates")
-    yield from _polys(_grids(degree, bound, det_one, range(-bound, bound + 1)))
-
-
 def _constant_terms(degree: int, det_one: bool) -> tuple[int, ...]:
     return ((-1) ** degree,) if det_one else (-1, 1)
 
 
 def _box_size(degree: int, bound: int, det_one: bool, who: str) -> int:
     """Candidates in the box; a box whose flat row index int64 cannot hold is
-    refused."""
+    refused. So at degree n >= 4, (2*bound + 1)**(n - 1) < 2**63 gives
+    bound * 2**n < 2**41 (no box past degree 40), and the array stages are
+    exact in int64: P(+-1) and each Taylor-shift entry, a sum of c_i * C(i, j)
+    over i >= j, are at most bound * C(n + 1, j + 1) <= bound * 2**n."""
     if degree < 2 or bound < 1:
         raise ValueError(f"{who} requires degree >= 2 and bound >= 1")
     size = len(_constant_terms(degree, det_one)) * (2 * bound + 1) ** (degree - 1)
@@ -149,16 +141,10 @@ def _replay_for(P: IntPolynomial, profile: SpectralProfile):
 # peak memory of the array screens and of cross_check
 _ORACLE_CHUNK = 4096
 
-
-def _int64_exact(degree: int, bound: int) -> bool:
-    """Whether the array screens of a degree-n box at this bound are exact in int64.
-
-    A coefficient of P(X + 1) or P(-X - 1) is a sum of c_i * C(i, j) over
-    i >= j, bounded by bound * C(n + 1, j + 1) <= bound * 2**n < 2**63, and
-    so is each entry of the Taylor shift and P(+-1). The base-7 residue codes
-    of the squarefree lookup are below 7**(n + 1).
-    """
-    return bound << degree < 2**63 and 7 ** (degree + 1) <= 2**63
+# highest degree whose disk-route rows run _first_radii: with no content
+# division each count doubles the bit length per step. Columns against the
+# scalar walk: 296 ms to 625 ms at 8/2, 307 to 150 at 9/1, 2,056 to 1,442 at 9/2
+_FIRST_RADII_MAX_DEGREE = 8
 
 
 def _grids(degree: int, bound: int, det_one: bool, leads: range):
@@ -200,13 +186,13 @@ def _screen_table(degree: int) -> list:
 def _squarefree_flags(grid: np.ndarray) -> np.ndarray:
     """squarefree_by_small_primes of each row. Each prime runs on the rows the
     earlier ones left unproven and looks up _squarefree_mod once per distinct
-    residue row, found by its base-p code."""
+    residue row, found by its bytes."""
     flags = np.zeros(len(grid), dtype=bool)
     todo = np.arange(len(grid))
     for p in _SQUAREFREE_PRIMES:
-        residues = grid[todo] % p
-        codes = residues @ p ** np.arange(grid.shape[1], dtype=np.int64)
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        residues = (grid[todo] % p).astype(np.uint8)
+        keys = residues.view(f"V{residues.shape[1]}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         proven = np.array(
             [_squarefree_mod(p, tuple(r)) for r in residues[first].tolist()], dtype=bool
         )[inverse]
@@ -258,9 +244,9 @@ def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
     enumeration order; the candidates they decide are counted into reasons.
 
     The constant term always passes here. A screen verdict stands once a small
-    prime proves P squarefree. A disk-route row that _first_radii rejects is
-    modulus_separation; every other row enters classify's later stages
-    (spectra._decide) with its grid values.
+    prime proves P squarefree. Up to _FIRST_RADII_MAX_DEGREE, a disk-route row
+    that _first_radii rejects is modulus_separation; every other row enters
+    classify's later stages (spectra._decide) with its grid values.
     """
     table = _screen_table(degree)
     screens = np.array([v is not None for v in table])
@@ -270,11 +256,12 @@ def _array_verdicts(degree, bound, det_one, lead, max_bits, reasons: Counter):
         for code, count in enumerate(np.bincount(screen[decided], minlength=len(table))):
             if count:
                 reasons[table[code][0]] += int(count)
-        disk = np.flatnonzero(squarefree & ~decided & (above == 1) & (below == 0))
-        separated = disk[_first_radii(grid[disk]) > 0]
-        if len(separated):
-            reasons[MODULUS_SEPARATION] += len(separated)
-            decided[separated] = True
+        if degree <= _FIRST_RADII_MAX_DEGREE:
+            disk = np.flatnonzero(squarefree & ~decided & (above == 1) & (below == 0))
+            separated = disk[_first_radii(grid[disk]) > 0]
+            if len(separated):
+                reasons[MODULUS_SEPARATION] += len(separated)
+                decided[separated] = True
         rest = np.flatnonzero(~decided)
         rows = zip(*(a[rest].tolist() for a in (grid, screen, squarefree, above, below)))
         for coeffs, code, proven, n_above, n_below in rows:
@@ -288,7 +275,7 @@ def _run_shard(args) -> tuple[list, Counter, list]:
     reasons: Counter = Counter()
     undecided: list[IntPolynomial] = []
     # degrees 2 and 3 keep their exact tests, one candidate at a time
-    if degree >= 4 and _int64_exact(degree, bound):
+    if degree >= 4:
         verdicts = _array_verdicts(degree, bound, det_one, lead, max_bits, reasons)
     else:
         verdicts = (

@@ -158,7 +158,7 @@ print(json.dumps([before, "spectorus.searchkit" in after, "spectorus.geomlab" in
 # ---------------------------------------------------------------- lazy exports
 
 def test_every_export_resolves():
-    assert len(spectorus.__all__) == len(set(spectorus.__all__)) == 45
+    assert len(spectorus.__all__) == len(set(spectorus.__all__)) == 44
     for name in spectorus.__all__:
         getattr(spectorus, name)
     assert spectorus.classify is spectorus.spectra.classify

@@ -23,6 +23,7 @@ from spectorus.spectra import (
     EXACT_Q1,
     EXACT_Q2,
     MODULUS_SEPARATION,
+    REJECTED,
     UNDECIDED,
     SpectralProfile,
     _screen_verdict,
@@ -33,7 +34,6 @@ from spectorus.searchkit import (
     SearchReport,
     acceptance_discrepancies,
     cross_check,
-    enumerate_candidates,
     search,
 )
 
@@ -46,26 +46,32 @@ def counts_consistent(report: SearchReport) -> bool:
 
 # ---------------------------------------------------------------- enumeration
 
+def candidates(degree, bound, det_one=True):
+    """The candidates of the box as search walks them, in enumeration order."""
+    leads = range(-bound, bound + 1)
+    return searchkit._polys(searchkit._grids(degree, bound, det_one, leads))
+
+
 def test_enumeration_counts():
-    assert sum(1 for _ in enumerate_candidates(2, 3)) == 7
-    assert sum(1 for _ in enumerate_candidates(3, 1)) == 9
-    assert sum(1 for _ in enumerate_candidates(5, 10)) == 21 ** 4
-    assert sum(1 for _ in enumerate_candidates(3, 1, det_one=False)) == 18
+    boxes = ((2, 3, True, 7), (3, 1, True, 9), (5, 10, True, 21**4), (3, 1, False, 18))
+    for degree, bound, det_one, size in boxes:
+        assert sum(1 for _ in candidates(degree, bound, det_one)) == size
+        assert searchkit._box_size(degree, bound, det_one, "search") == size
 
 
 def test_enumeration_shape_and_constant_term():
-    for P in enumerate_candidates(3, 1):
+    for P in candidates(3, 1):
         assert P.degree == 3
         assert P.is_monic
         assert P.coeffs[0] == -1
-    for P in enumerate_candidates(4, 1):
+    for P in candidates(4, 1):
         assert P.coeffs[0] == 1
-    consts = {P.coeffs[0] for P in enumerate_candidates(3, 1, det_one=False)}
+    consts = {P.coeffs[0] for P in candidates(3, 1, det_one=False)}
     assert consts == {-1, 1}
 
 
 def test_enumeration_is_lexicographic_in_descending_coefficients():
-    polys = list(enumerate_candidates(3, 1))
+    polys = list(candidates(3, 1))
     tuples = [p.coeffs[::-1][1:] for p in polys]  # (c2, c1, c0) per candidate
     assert tuples == sorted(tuples)
     assert polys[0] == IntPolynomial((-1, -1, -1, 1))
@@ -74,16 +80,18 @@ def test_enumeration_is_lexicographic_in_descending_coefficients():
 
 def test_enumeration_validates_arguments():
     with pytest.raises(ValueError):
-        list(enumerate_candidates(1, 3))
+        search(1, 3)
     with pytest.raises(ValueError):
-        list(enumerate_candidates(3, 0))
+        search(3, 0)
 
 
 def test_enumeration_refuses_a_box_int64_cannot_index():
     # 2 * bound + 1 candidates at degree 2: 2**63 + 1 is refused, 2**63 - 1 is not
     with pytest.raises(ValueError, match="fewer than 2\\*\\*63 candidates"):
-        next(enumerate_candidates(2, 2**62))
-    first = next(enumerate_candidates(2, 2**62 - 1))
+        searchkit._box_size(2, 2**62, True, "search")
+    bound = 2**62 - 1
+    assert searchkit._box_size(2, bound, True, "search") == 2**63 - 1
+    first = next(searchkit._polys(searchkit._grids(2, bound, True, range(-bound, bound + 1))))
     assert first == IntPolynomial((1, -(2**62) + 1, 1))
     with pytest.raises(ValueError):
         search(3, 2**31)
@@ -123,7 +131,7 @@ def test_search_degree3_slice_law():
     # on this slice the exact test IS the defining condition
     report = search(3, 4)
     accepted = {e.poly for e in report.accepted}
-    for P in enumerate_candidates(3, 4):
+    for P in candidates(3, 4):
         a, b = P.coeffs[2], P.coeffs[1]
         expected = discriminant(P) < 0 and a + b < 0
         assert (P in accepted) == expected, (a, b)
@@ -259,15 +267,30 @@ def test_undecided_profiles_propagate_into_report(monkeypatch):
 # ---------------------------------------------------------------- array route
 
 ARRAY_BOXES = [
-    (4, 8, True), (5, 4, True), (6, 3, True), (7, 1, True), (8, 1, True),
-    (4, 3, False), (5, 2, False), (6, 2, False),
+    (4, 8, True), (5, 4, True), (6, 3, True), (7, 1, True), (8, 1, True), (9, 1, True),
+    (4, 3, False), (5, 2, False), (6, 2, False), (9, 1, False),
 ]
+
+
+def classify_shard(args):
+    """_run_shard's reference: classify on each candidate of the shard."""
+    degree, bound, det_one, lead, max_bits = args
+    accepted, reasons, undecided = [], Counter(), []
+    for P in searchkit._polys(searchkit._grids(degree, bound, det_one, range(lead, lead + 1))):
+        profile = spectra.classify(P, allow_gl=not det_one, max_precision_bits=max_bits)
+        if profile.certification == REJECTED:
+            reasons[profile.reason] += 1
+        elif profile.certification == UNDECIDED:
+            undecided.append(P)
+        else:
+            accepted.append(searchkit.AcceptedEntry(P, profile, searchkit._replay_for(P, profile)))
+    return accepted, reasons, undecided
 
 
 @pytest.mark.parametrize("degree, bound, det_one", ARRAY_BOXES)
 def test_array_route_report_equals_the_scalar_loop(monkeypatch, degree, bound, det_one):
     arrays = search(degree, bound, det_one=det_one).canonical_json()
-    monkeypatch.setattr(searchkit, "_int64_exact", lambda degree, bound: False)
+    monkeypatch.setattr(searchkit, "_run_shard", classify_shard)
     scalar = search(degree, bound, det_one=det_one).canonical_json()
     assert arrays == scalar
 
@@ -285,7 +308,7 @@ def assert_scalar_stages(rows, table):
 
 @pytest.mark.parametrize("degree, bound", [(5, 2), (6, 2)])
 def test_array_route_reaches_the_stage_order_only_through_decide(monkeypatch, degree, bound):
-    monkeypatch.setattr(searchkit, "_int64_exact", lambda degree, bound: False)
+    monkeypatch.setattr(searchkit, "_run_shard", classify_shard)
     scalar = search(degree, bound, det_one=False).canonical_json()
     monkeypatch.undo()
 
@@ -326,14 +349,14 @@ def test_array_stages_equal_the_scalar_stages(degree, bound, det_one):
             stages = searchkit._array_stages(grid)
             rows += zip(grid.tolist(), *(s.tolist() for s in stages))
     assert [tuple(r[0]) for r in rows] == [
-        P.coeffs for P in enumerate_candidates(degree, bound, det_one)
+        P.coeffs for P in candidates(degree, bound, det_one)
     ]
     assert_scalar_stages(rows, table)
 
 
 def int64_edge_rows(degree):
-    """The rows whose coefficients of P(X + 1) or P(-X - 1) are largest at the
-    largest bound _int64_exact admits, bound * 2**n."""
+    """The rows whose coefficients of P(X + 1) or P(-X - 1) are largest at
+    bound 2**(63 - n) - 1, where bound * 2**n still fits int64."""
     largest = 2 ** (63 - degree) - 1
     return [
         [1] + [largest] * (degree - 1) + [1],
@@ -344,9 +367,11 @@ def int64_edge_rows(degree):
 
 @pytest.mark.parametrize("degree", [4, 20])
 def test_int64_exactness_predicate_edge(degree):
-    largest = 2 ** (63 - degree) - 1
-    assert searchkit._int64_exact(degree, largest)
-    assert not searchkit._int64_exact(degree, largest + 1)
+    # _box_size admits no box whose bound reaches 2**(63 - n)
+    for n in range(4, 41):
+        for det_one in (True, False):
+            with pytest.raises(ValueError):
+                searchkit._box_size(n, 2 ** (63 - n), det_one, "search")
     # at the edge the int64 stages still match the scalar ones
     extreme = int64_edge_rows(degree)
     table = searchkit._screen_table(degree)
@@ -393,10 +418,21 @@ def test_array_stages_leave_their_grid_unchanged():
         assert np.array_equal(grid, kept)
 
 
-def test_int64_exactness_predicate_refuses_codes_past_int64():
-    # base-7 residue codes of degree n stay below 7**(n + 1) <= 2**63 up to n = 21
-    assert searchkit._int64_exact(21, 1)
-    assert not searchkit._int64_exact(22, 1)
+def test_array_route_equals_classify_past_degree_21(monkeypatch):
+    # the first 128 rows of a shard of 22/1, whose box has 3**21 rows, and the
+    # stages on rows of degree 40, the highest degree _box_size admits
+    real_grids = searchkit._grids
+    monkeypatch.setattr(searchkit, "_grids", lambda *box: iter([next(real_grids(*box))[:128]]))
+    shard = (22, 1, True, -1, DEFAULT_PRECISION_CEILING)
+    accepted, reasons, undecided = searchkit._run_shard(shard)
+    expected = classify_shard(shard)
+    assert [e.to_json() for e in accepted] == [e.to_json() for e in expected[0]]
+    assert (reasons, undecided) == expected[1:]
+    assert sum(reasons.values()) == 128
+    grid = next(real_grids(40, 1, True, range(-1, 0)))[:128]
+    stages = searchkit._array_stages(grid)
+    table = searchkit._screen_table(40)
+    assert_scalar_stages(zip(grid.tolist(), *(s.tolist() for s in stages)), table)
 
 
 def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
@@ -420,7 +456,7 @@ def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):
 
     monkeypatch.setattr(spectra, "_disk_search", stub)
     monkeypatch.setattr(searchkit, "_first_radii", held_out)
-    in_order = tuple(P for P in enumerate_candidates(4, 2) if P in targets)
+    in_order = tuple(P for P in candidates(4, 2) if P in targets)
     reports = [search(4, 2, workers=1), search(4, 2, workers=3)]
     assert set(stubbed) == targets
     for report in reports:
@@ -494,6 +530,33 @@ def test_first_radii_equal_the_first_two_probes_row_for_row():
         assert zeros and 0 in expected and any(expected)
 
 
+def test_first_radii_run_up_to_degree_8(monkeypatch):
+    # past degree 8 the disk-route rows skip the array rungs, so the walk of
+    # spectra._disk_search, which divides its counts by the content, makes
+    # the counts at 3/4 that _first_radii would have made
+    seen, walked = [], []
+    real_first_radii, real_disk_search = searchkit._first_radii, spectra._disk_search
+
+    def recording(grid):
+        seen.extend(grid.tolist())
+        return real_first_radii(grid)
+
+    def walking(P, q, max_bits):
+        profile = real_disk_search(P, q, max_bits)
+        walked.append(profile.detail)
+        return profile
+
+    monkeypatch.setattr(searchkit, "_first_radii", recording)
+    monkeypatch.setattr(spectra, "_disk_search", walking)
+    searchkit._run_shard((8, 1, True, 0, DEFAULT_PRECISION_CEILING))
+    assert seen
+    seen.clear()
+    walked.clear()
+    searchkit._run_shard((9, 1, True, 0, DEFAULT_PRECISION_CEILING))
+    assert not seen
+    assert any(detail.endswith("in |z| < 3/4 < 1/lambda") for detail in walked)
+
+
 # ---------------------------------------------------------------- cross-check
 
 def test_cross_check_clean_on_exact_slices():
@@ -509,9 +572,7 @@ def np_roots_cross_check(report: SearchReport, tol: float = 1e-6) -> list[dict]:
     accepted_set = {e.poly for e in report.accepted}
     undecided_set = set(report.undecided)
     out = []
-    for P in enumerate_candidates(
-        report.degree, report.coeff_bound, report.det_constraint
-    ):
+    for P in candidates(report.degree, report.coeff_bound, report.det_constraint):
         roots = [complex(r) for r in np.roots(P.coeffs[::-1])]
         oracle_ok, near = searchkit._oracle_verdict(roots, tol)
         verdict = (
@@ -569,7 +630,7 @@ def test_cross_check_respects_det_constraint_flag():
 
 
 def test_batched_oracle_roots_are_bitwise_np_roots_beyond_one_chunk():
-    polys = list(enumerate_candidates(3, 50))
+    polys = list(candidates(3, 50))
     assert len(polys) == 10_201 > 2 * searchkit._ORACLE_CHUNK
     done = 0
     for grid in searchkit._grids(3, 50, True, range(-50, 51)):
