@@ -6,7 +6,7 @@ directional rounding, suitable for certification logic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 
 def isqrt_ceil(n: int) -> int:
@@ -36,7 +36,14 @@ def nth_root_floor(n: int, k: int) -> int:
 
 def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """(lo, hi) with lo <= sqrt(x) <= hi and hi - lo <= 2**(1-bits)."""
-    return nth_root_bounds(x, 2, bits)
+    n, den = _sqrt_floor(x.numerator, x.denominator, bits)
+    return Fraction(n, den), Fraction(n + 1, den)
+
+
+def _sqrt_floor(p: int, r: int, bits: int) -> tuple[int, int]:
+    """(n, den) with sqrt(p/r) in [n, n + 1]/den: sqrt_bounds of the reduced p/r, r > 0."""
+    g = gcd(p, r)
+    return isqrt(p * r // (g * g) << 2 * bits), r // g << bits
 
 
 def nth_root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -47,9 +54,7 @@ def nth_root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]
     den = r << bits
     # (lo*den)**k <= p * r**(k-1) * 2**(k*bits)  <=>  lo**k <= p/r
     lo_num = nth_root_floor(p * r ** (k - 1) << (k * bits), k)
-    lo = Fraction(lo_num, den)
-    hi = Fraction(lo_num + 1, den)
-    return lo, hi
+    return Fraction(lo_num, den), Fraction(lo_num + 1, den)
 
 
 def dyadic_eval(coeffs: tuple[int, ...], a: int, b: int, k: int) -> tuple[int, int, int]:
@@ -99,41 +104,42 @@ def sign_at(coeffs, x: Fraction) -> int:
     return _sign(_scaled_value(coeffs, x.numerator, x.denominator))
 
 
-def bisect_root_dyadic(
-    coeffs: tuple[int, ...], lo: Fraction, hi: Fraction, bits: int
-) -> tuple[Fraction, Fraction]:
+def bisect_root_dyadic(coeffs, lo: Fraction, hi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     """Shrink a sign-change bracket [lo, hi] to width <= 2**-bits by bisection.
 
     Requires P(lo) and P(hi) to have strict opposite signs. The bracket is
     held as L/den and H/den over one common denominator, so each halving
     is integer work and only the returned pair is built as Fractions.
     """
-    slo, shi = sign_at(coeffs, lo), sign_at(coeffs, hi)
+    L, H, den = _bisect_dyadic(coeffs, *_common_numerators(lo, hi), bits)
+    return Fraction(L, den), Fraction(H, den)
+
+
+def _bisect_dyadic(coeffs, L: int, H: int, den: int, bits: int) -> tuple[int, int, int]:
+    """bisect_root_dyadic on [L/den, H/den], den > 0, as (L, H, den) integers."""
+    slo, shi = _sign(_scaled_value(coeffs, L, den)), _sign(_scaled_value(coeffs, H, den))
     if slo == 0 or shi == 0 or slo == shi:
         raise ValueError("bracket endpoints must have strict opposite signs")
-    L, H, den = _common_numerators(lo, hi)
     while (H - L) << bits > den:
         M = L + H  # the midpoint is M / (2 * den)
         den <<= 1
         vm = _scaled_value(coeffs, M, den)
         if vm == 0:
             # mid -+ (hi - lo)/4, over the denominator 2 * den
-            return Fraction(2 * M - H + L, den << 1), Fraction(2 * M + H - L, den << 1)
+            return 2 * M - H + L, 2 * M + H - L, den << 1
         if _sign(vm) == slo:
             L, H = M, H << 1
         else:
             L, H = L << 1, M
-    return Fraction(L, den), Fraction(H, den)
+    return L, H, den
 
 
 def frac_to_decimal(x: Fraction, digits: int, round_up: bool) -> str:
     """Decimal string of x with `digits` fractional digits, rounded outward."""
-    sign = "-" if x < 0 else ""
-    mag = -x if x < 0 else x
-    scaled = mag * 10**digits
-    q, r = divmod(scaled.numerator, scaled.denominator)
+    sign = "-" if x.numerator < 0 else ""
+    q, r = divmod(abs(x.numerator) * 10**digits, x.denominator)
     # outward rounding: away from zero iff (round_up and x>=0) or (not round_up and x<0)
-    away = round_up ^ (x < 0)
+    away = round_up ^ (x.numerator < 0)
     if r and away:
         q += 1
     text = str(q).rjust(digits + 1, "0")

@@ -19,8 +19,8 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .exactnum import (
+    _bisect_dyadic,
     _sign,
-    bisect_root_dyadic,
     dyadic_abs_bounds,
     dyadic_eval,
     isqrt_ceil,
@@ -266,8 +266,9 @@ class RootEnclosure:
     @property
     def radius_float(self) -> float:
         # round the reported radius upward so the float stays a valid bound
-        f = float(self.radius)
-        return f if Fraction(f) >= self.radius else math.nextafter(f, math.inf)
+        r, f = self.radius, float(self.radius)
+        n, d = f.as_integer_ratio()  # f >= r, compared in integers
+        return f if n * r.denominator >= r.numerator * d else math.nextafter(f, math.inf)
 
     def modulus_interval(self) -> tuple[Fraction, Fraction]:
         """Certified [lo, hi] containing the modulus of the enclosed root."""
@@ -327,35 +328,34 @@ def _precision_ladder(ceiling: int) -> list[int]:
 
 
 def isolate_roots(
-    P: IntPolynomial, alpha: tuple[Fraction, Fraction], max_precision_bits: int
+    P: IntPolynomial, alpha: tuple[int, int, int], max_precision_bits: int
 ) -> tuple[RootEnclosure, RootEnclosure] | None:
     """The certified disks of the conjugate pair of an accepted
     X**3 + a*X**2 + b*X - 1, lower member first, or None past max_precision_bits.
 
-    alpha brackets the real root, the only one. The pair is
-    (-(a + alpha) +- i*sqrt(4/alpha - (a + alpha)**2))/2, the roots of the
-    factor X**2 + (a + alpha)*X + 1/alpha, computed at scale 2**-(k + 20) from
-    alpha bisected to that scale and rounded once to 2**-k. _certify_pair
-    proves the upper center's disk off the real axis, so each disk holds
-    exactly one root. k climbs the precision ladder until the radius is below
-    1e-24. alpha is irrational: a rational root would be +-1, and
-    P(1) = a + b < 0, so no bisection midpoint is a root. No center is a root
-    either, so a radius at k is at least 2**-k: a rung where that misses the
-    target is skipped.
+    alpha = (lo, hi, den) brackets the real root, the only one, in integers:
+    [lo/den, hi/den]. The pair is (-(a + alpha) +- i*sqrt(4/alpha -
+    (a + alpha)**2))/2, the roots of the factor X**2 + (a + alpha)*X + 1/alpha,
+    computed at scale 2**-(k + 20) from alpha bisected to that scale and
+    rounded once to 2**-k. _certify_pair proves the upper center's disk off
+    the real axis, so each disk holds exactly one root. k climbs the precision
+    ladder until the radius is below 1e-24. alpha is irrational: a rational
+    root would be +-1, and P(1) = a + b < 0, so no bisection midpoint is a
+    root. No center is a root either, so a radius at k is at least 2**-k: a
+    rung where that misses the target is skipped.
     """
     coeffs = P.coeffs
-    lo, hi = alpha
+    lo, hi, den = alpha
     guard = _GUARD_BITS
     half = 1 << (guard + 1)
     for prec in _precision_ladder(max_precision_bits):
         k = prec + 8
-        if _TARGET_RADIUS * (1 << k) < 1:
+        if _TARGET_RADIUS.numerator << k < _TARGET_RADIUS.denominator:
             continue  # no radius of this rung meets the target
         m = k + guard
-        if (hi - lo) * (1 << m) > 1:  # this rung needs a finer bracket
-            lo, hi = bisect_root_dyadic(coeffs, lo, hi, m)
-        mid = (lo + hi) * (1 << m)
-        r = _nearest(mid.numerator, 2 * mid.denominator)  # alpha, in units of 2**-m
+        if (hi - lo) << m > den:  # this rung needs a finer bracket
+            lo, hi, den = _bisect_dyadic(coeffs, lo, hi, den, m)
+        r = _nearest((lo + hi) << m, 2 * den)  # alpha, in units of 2**-m
         p = (coeffs[2] << m) + r  # a + alpha, in units of 2**-m
         d = p * p + (-4 << 3 * m) // r  # (a + alpha)**2 - 4/alpha, in units of 2**-2m
         if d >= 0:

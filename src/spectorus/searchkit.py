@@ -186,16 +186,17 @@ def _screen_table(degree: int) -> list:
 def _squarefree_flags(grid: np.ndarray) -> np.ndarray:
     """squarefree_by_small_primes of each row. Each prime runs on the rows the
     earlier ones left unproven and looks up _squarefree_mod once per distinct
-    residue row, found by its bytes."""
+    residue row, found among the rows np.lexsort orders: no degree bound."""
     flags = np.zeros(len(grid), dtype=bool)
     todo = np.arange(len(grid))
     for p in _SQUAREFREE_PRIMES:
         residues = (grid[todo] % p).astype(np.uint8)
-        keys = residues.view(f"V{residues.shape[1]}").ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        proven = np.array(
-            [_squarefree_mod(p, tuple(r)) for r in residues[first].tolist()], dtype=bool
-        )[inverse]
+        order = np.lexsort(residues.T)  # todo may take this order: only flags are kept
+        todo, residues = todo[order], residues[order]
+        first = np.ones(len(todo), dtype=bool)  # where a run of equal rows starts
+        first[1:] = (residues[1:] != residues[:-1]).any(axis=1)
+        looked_up = [_squarefree_mod(p, tuple(r)) for r in residues[first].tolist()]
+        proven = np.array(looked_up, dtype=bool)[np.cumsum(first) - 1]
         flags[todo[proven]] = True
         todo = todo[~proven]
         if not len(todo):

@@ -24,11 +24,11 @@ from .exactnum import (
     _common_numerators,
     _scaled_value,
     _sign,
+    _sqrt_floor,
     bisect_root_dyadic,
     frac_to_decimal,
     nth_root_bounds,  # not called here: kept only for perfbench/tracer.py's wrapper
-    sign_at,
-    sqrt_bounds,
+    sqrt_bounds,  # not called here: kept only for perfbench/tracer.py's wrapper
 )
 from .intpoly import IntPolynomial, discriminant, power_transform, reverse
 from .rootcert import (
@@ -138,12 +138,13 @@ def _rejected(P: IntPolynomial, q: int, reason: str, detail: str | None = None):
     return SpectralProfile(P, q, REJECTED, reason=reason, detail=detail)
 
 
-def _real_enclosure(lo: Fraction, hi: Fraction, bits: int) -> RootEnclosure:
-    """Enclosure for a real root known to lie in [lo, hi]."""
-    a = round((lo + hi) / 2 * (1 << bits))
-    c = Fraction(a, 1 << bits)
-    rad = max(hi - c, c - lo, Fraction(0))
-    return RootEnclosure(a, 0, bits, rad, is_real_certified=True)
+def _real_enclosure(lo: int, hi: int, den: int, bits: int) -> RootEnclosure:
+    """Enclosure for a real root in [lo/den, hi/den]. Its center is the midpoint
+    rounded to 2**-bits half to even, as round() of a Fraction is."""
+    a, r = divmod((lo + hi) << bits, 2 * den)
+    a += r > den or (r == den and a & 1)
+    rad = max((hi << bits) - a * den, a * den - (lo << bits), 0)  # over den << bits
+    return RootEnclosure(a, 0, bits, Fraction(rad, den << bits), is_real_certified=True)
 
 
 def _extra_bits(bound: int) -> int:
@@ -173,9 +174,9 @@ def _alpha_newton(coeffs: tuple[int, ...], bound: int, m: int) -> int:
         x -= step
 
 
-def _alpha_bracket(coeffs: tuple[int, ...], bound: int, bits: int) -> tuple[Fraction, Fraction]:
-    """bisect_root_dyadic(coeffs, 1, bound, bits) for the accepted cubic, by a
-    Newton guess that exact signs check.
+def _alpha_bracket(coeffs: tuple[int, ...], bound: int, bits: int) -> tuple[int, int, int]:
+    """bisect_root_dyadic(coeffs, 1, bound, bits) for the accepted cubic, as
+    (lo, hi, den), by a Newton guess that exact signs check.
 
     Needs X**3 + a*X**2 + b*X - 1 with disc < 0 and P(1) < 0, as every q = 2
     acceptance has (exact_test_q2, or _decide's Vieta step behind the sign
@@ -198,8 +199,8 @@ def _alpha_bracket(coeffs: tuple[int, ...], bound: int, bits: int) -> tuple[Frac
     for cell in (j, j - 1, j + 1):
         lo, hi = den + cell * w, den + (cell + 1) * w
         if _scaled_value(coeffs, lo, den) < 0 < _scaled_value(coeffs, hi, den):
-            return Fraction(lo, den), Fraction(hi, den)
-    return bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits)
+            return lo, hi, den
+    return _common_numerators(*bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits))
 
 
 def _accepted(
@@ -214,24 +215,25 @@ def _accepted(
     modulus 1/lambda, lambda = sqrt(alpha), whose bracket _alpha_bracket
     finds by Newton's method and checks. isolate_roots encloses the pair,
     lower member first, from alpha's bracket; past max_precision_bits the
-    verdict is Undecided / precision_ceiling.
+    verdict is Undecided / precision_ceiling. Brackets stay integers over one
+    denominator: only lam and the radii are Fractions.
     """
     bound = 1 + max(abs(c) for c in P.coeffs)  # Cauchy's bound on every root
     extra = _extra_bits(bound)
     if P.degree == 2:
         c0, t = P.coeffs[0], -P.coeffs[1]
-        s_lo, s_hi = sqrt_bounds(Fraction(t * t - 4 * c0), 140 + extra)
-        lam = (t + s_lo) / 2, (t + s_hi) / 2
-        big = _real_enclosure(lam[0], lam[1], 160 + extra)
-        small = _real_enclosure((t - s_hi) / 2, (t - s_lo) / 2, 160 + extra)
-        return SpectralProfile(
-            P, 1, certification, lam=lam, big_root=big, small_roots=(small,)
-        )
+        s, den = _sqrt_floor(t * t - 4 * c0, 1, 140 + extra)  # the root in [s, s + 1]/den
+        lo, den = t * den + s, 2 * den  # lambda in [lo, lo + 1]/den
+        big = _real_enclosure(lo, lo + 1, den, 160 + extra)
+        small = _real_enclosure(lo - 2 * s - 1, lo - 2 * s, den, 160 + extra)
+        lam = Fraction(lo, den), Fraction(lo + 1, den)
+        return SpectralProfile(P, 1, certification, lam=lam, big_root=big, small_roots=(small,))
     # alpha = unique real root in (1, bound); lambda = sqrt(alpha)
-    a_lo, a_hi = _alpha_bracket(P.coeffs, bound, 150 + extra)
-    lam = sqrt_bounds(a_lo, 160)[0], sqrt_bounds(a_hi, 160)[1]
-    big = _real_enclosure(a_lo, a_hi, 160 + extra)
-    pair = isolate_roots(P, (a_lo, a_hi), max_precision_bits)
+    alpha = lo, hi, den = _alpha_bracket(P.coeffs, bound, 150 + extra)
+    n, d = _sqrt_floor(hi, den, 160)
+    lam = Fraction(*_sqrt_floor(lo, den, 160)), Fraction(n + 1, d)
+    big = _real_enclosure(lo, hi, den, 160 + extra)
+    pair = isolate_roots(P, alpha, max_precision_bits)
     if pair is None:
         return SpectralProfile(P, 2, UNDECIDED, reason=PRECISION_CEILING)
     return SpectralProfile(P, 2, certification, lam=lam, big_root=big, small_roots=pair)
@@ -500,8 +502,8 @@ def replay_case_even(P: IntPolynomial, profile: SpectralProfile) -> ReplayReport
     if profile.lam is None:
         steps.append(("lambda_sq_is_root", "skipped: no certified lambda"))
     else:
-        lo, hi = profile.lam
-        ok = sign_at(Q.coeffs, lo * lo) * sign_at(Q.coeffs, hi * hi) < 0
+        v_lo, v_hi = (_scaled_value(qc, x.numerator**2, x.denominator**2) for x in profile.lam)
+        ok = _sign(v_lo) * _sign(v_hi) < 0  # the signs of Q at lo**2 and hi**2
         steps.append(("lambda_sq_is_root", "verified" if ok else "failed"))
 
     Qt = power_transform(Q, p)

@@ -1,5 +1,7 @@
 """Certified root enclosures, exact Sturm counts, and the dyadic helpers under them."""
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +12,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import spectorus.rootcert as rootcert
 from spectorus.exactnum import (
+    _common_numerators,
+    _sqrt_floor,
     bisect_root_dyadic,
     dyadic_abs_bounds,
     dyadic_eval,
@@ -204,6 +208,83 @@ def test_frac_to_decimal_outward_rounding():
     assert frac_to_decimal(Fraction(5, 4), 2, round_up=True) == "1.25"
 
 
+# The Fraction formulas that the integer forms replaced, kept as oracles.
+
+def _fraction_to_decimal(x, digits, round_up):
+    sign = "-" if x < 0 else ""
+    scaled = (-x if x < 0 else x) * 10**digits
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if r and round_up ^ (x < 0):
+        q += 1
+    text = str(q).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
+
+
+def _fraction_radius_float(radius):
+    f = float(radius)
+    return f if Fraction(f) >= radius else math.nextafter(f, math.inf)
+
+
+def _oracle_fractions(rng):
+    """Seeded dyadic and non-dyadic Fractions of both signs, with exact
+    decimals, ties at the last digit and numerators far past a double."""
+    out = [Fraction(0), Fraction(5, 4), Fraction(-5, 4), Fraction(1, 3), Fraction(-2, 3)]
+    out += [Fraction(n, 2 ** (2 * n)) for n in range(1, 40)]
+    for _ in range(200):
+        num = rng.randrange(-(10 ** rng.randrange(1, 80)), 10 ** rng.randrange(1, 80))
+        den = rng.choice([1 << rng.randrange(0, 300), rng.randrange(1, 10**40)])
+        out.append(Fraction(num, den))
+    return out
+
+
+def test_frac_to_decimal_equals_the_fraction_formula():
+    rng = random.Random(3301)
+    for x in _oracle_fractions(rng):
+        for digits in (0, 1, 30):
+            for up in (False, True):
+                assert frac_to_decimal(x, digits, up) == _fraction_to_decimal(x, digits, up)
+
+
+def test_radius_float_equals_the_fraction_compare():
+    rng = random.Random(3302)
+    # below 2**-1074, exact doubles, and 200-bit numerators that no double holds
+    radii = [Fraction(1, 2**1074), Fraction(1, 2**1075), Fraction(3, 2**1076), Fraction(1, 10**400)]
+    radii += [Fraction(*x.as_integer_ratio()) for x in (1e-300, 5e-324, 0.1, 1.5, 2.0**1000)]
+    radii += [Fraction(rng.getrandbits(53) | 1, 2 ** rng.randrange(0, 1100)) for _ in range(100)]
+    radii += [Fraction(rng.getrandbits(200) + 1, 2 ** rng.randrange(150, 1300)) for _ in range(200)]
+    for radius in radii:
+        e = rootcert.RootEnclosure(0, 0, 0, radius)
+        assert e.radius_float == _fraction_radius_float(radius), radius
+        assert e.radius_float >= radius
+    # past the double range both raise, as float() of the radius does
+    huge = rootcert.RootEnclosure(0, 0, 0, Fraction(10**400, 3))
+    with pytest.raises(OverflowError):
+        _fraction_radius_float(huge.radius)
+    with pytest.raises(OverflowError):
+        huge.radius_float  # noqa: B018
+
+
+def test_sqrt_bounds_equals_nth_root_bounds():
+    rng = random.Random(3303)
+    # perfect squares, numerators past 10**400, and dyadic fractions
+    xs = [Fraction(0), Fraction(1), Fraction(4), Fraction(9, 16), Fraction(10**400)]
+    xs += [Fraction(rng.randrange(1, 10**6) ** 2, rng.randrange(1, 10**4) ** 2) for _ in range(40)]
+    for _ in range(60):
+        xs.append(Fraction(rng.randrange(1, 10 ** rng.randrange(1, 450)), rng.randrange(1, 10**30)))
+    xs += [Fraction(rng.randrange(1, 10**420), 1 << rng.randrange(0, 600)) for _ in range(40)]
+    for x in xs:
+        for bits in (0, 1, 53, 160):
+            lo, hi = sqrt_bounds(x, bits)
+            assert (lo, hi) == nth_root_bounds(x, 2, bits), (x, bits)
+            # the integer form gives the same pair from any unreduced p/r
+            g = rng.randrange(1, 2**70)
+            n, den = _sqrt_floor(x.numerator * g, x.denominator * g, bits)
+            assert (Fraction(n, den), Fraction(n + 1, den)) == (lo, hi)
+            assert den == x.denominator << bits
+    with pytest.raises(ValueError):
+        sqrt_bounds(Fraction(-1, 3), 10)
+
+
 # ---------------------------------------------------------------- Sturm counts
 
 def test_sturm_squarefree_detection():
@@ -366,9 +447,11 @@ PLASTIC_LIKE = [PLASTIC, parse_poly("x^3 - 2x^2 - 1"), parse_poly("x^3 - 2x^2 + 
 
 
 def _isolate(P, ceiling=DEFAULT_PRECISION_CEILING):
-    """isolate_roots(P) from a 150-bit bracket of the real root above 1: the pair."""
+    """isolate_roots(P) from a 150-bit bracket of the real root above 1, as
+    (lo, hi, den) integers: the pair."""
     bound = Fraction(1 + max(map(abs, P.coeffs)))
-    return isolate_roots(P, bisect_root_dyadic(P.coeffs, Fraction(1), bound, 150), ceiling)
+    alpha = _common_numerators(*bisect_root_dyadic(P.coeffs, Fraction(1), bound, 150))
+    return isolate_roots(P, alpha, ceiling)
 
 
 def _cubic_roots(P):

@@ -226,6 +226,25 @@ def test_canonical_json_bytes_are_pinned(degree, bound):
     assert hashlib.sha256(text.encode()).hexdigest() == CANONICAL_SHA256[degree, bound]
 
 
+# the same for the accepted path of gl boxes (|P(0)| = 1): gl 2/30 holds 30
+# IntervalCertified entries, which reach the enclosures through _decide's
+# Vieta step with constant term -1
+GL_CANONICAL_SHA256 = {
+    (2, 30): "8ede3113b3f6327e8ebd72b32f0f2c09a910f97e36e6e0d03bbe3533e75f4c1c",
+    (3, 5): "b1aa3c4155d8bd74a37ac500a3a09231dcc74fc5d48036dd857a31a5ae14a3b0",
+}
+
+
+@pytest.mark.parametrize("degree, bound", GL_CANONICAL_SHA256)
+def test_gl_canonical_json_bytes_are_pinned(degree, bound):
+    report = search(degree, bound, det_one=False)
+    if degree == 2:
+        certified = [e for e in report.accepted if e.profile.certification == "IntervalCertified"]
+        assert len(certified) == 30
+    text = report.canonical_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GL_CANONICAL_SHA256[degree, bound]
+
+
 def test_accepted_entries_serialize_with_profiles_and_replays():
     report = search(2, 4)
     entry = report.to_json()["accepted"][0]
@@ -433,6 +452,24 @@ def test_array_route_equals_classify_past_degree_21(monkeypatch):
     stages = searchkit._array_stages(grid)
     table = searchkit._screen_table(40)
     assert_scalar_stages(zip(grid.tolist(), *(s.tolist() for s in stages)), table)
+
+
+def test_squarefree_flags_equal_the_per_row_proof():
+    # the 33 grids of one box-reject round, one shard each, a shuffled one, and
+    # the 22/1 slice above: equal residue rows share one lookup wherever they sit
+    grids = [
+        grid
+        for degree, bound in ((4, 8), (5, 4), (6, 3))
+        for lead in range(-bound, bound + 1)
+        for grid in searchkit._grids(degree, bound, True, range(lead, lead + 1))
+    ]
+    assert len(grids) == 33
+    grids.append(np.random.default_rng(33).permutation(grids[-1]))
+    grids.append(next(searchkit._grids(22, 1, True, range(-1, 0)))[:128])
+    for grid in grids:
+        want = [squarefree_by_small_primes(tuple(row)) for row in grid.tolist()]
+        assert searchkit._squarefree_flags(grid).tolist() == want
+        assert not all(want) and any(want)
 
 
 def test_disk_route_undecided_entries_keep_enumeration_order(monkeypatch):

@@ -199,6 +199,12 @@ def _bisected(coeffs, bound, bits):
     return bisect_root_dyadic(coeffs, Fraction(1), Fraction(bound), bits)
 
 
+def _bracket(coeffs, bound, bits):
+    """spectra._alpha_bracket's (lo, hi, den) as the pair lo/den, hi/den."""
+    lo, hi, den = spectra._alpha_bracket(coeffs, bound, bits)
+    return Fraction(lo, den), Fraction(hi, den)
+
+
 def _q2_accept_sample(count, span, seed):
     """Seeded accepted cubics X^3 + aX^2 + bX - 1 with |a|, |b| <= span."""
     rng = random.Random(seed)
@@ -238,7 +244,7 @@ def test_alpha_bracket_is_the_bisection_bracket(monkeypatch, cases):
     assert cubics
     for coeffs in cubics:
         case = _alpha_case(coeffs)
-        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+        assert _bracket(*case) == _bisected(*case), coeffs
     assert fallbacks == []  # every bracket came from Newton's cell
 
 
@@ -253,7 +259,7 @@ def test_alpha_bracket_falls_back_to_the_bisection_on_a_wrong_guess(monkeypatch,
     monkeypatch.setattr(spectra, "_alpha_newton", guess)
     for coeffs in [PLASTIC.coeffs, (-1, 3, -7, 1)] + _q2_accept_sample(20, 1000, 2501):
         case = _alpha_case(coeffs)
-        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+        assert _bracket(*case) == _bisected(*case), coeffs
 
 
 @pytest.mark.parametrize("cells", [1, -1])
@@ -274,7 +280,7 @@ def test_alpha_bracket_tries_the_neighbouring_cells(monkeypatch, cells):
             return newton(coeffs, bound, m) + cells * ((bound - 1) << (m - s))
 
         monkeypatch.setattr(spectra, "_alpha_newton", off_by_one_cell)
-        assert spectra._alpha_bracket(*case) == _bisected(*case), coeffs
+        assert _bracket(*case) == _bisected(*case), coeffs
 
 
 def test_report_floats_are_the_fraction_floats(monkeypatch):
@@ -306,6 +312,36 @@ def test_report_floats_are_the_fraction_floats(monkeypatch):
         huge.big_root.re
     with pytest.raises(OverflowError):
         classify(cubic(-int("7" * 400), 0)).big_root.re
+
+
+def _fraction_real_enclosure(lo, hi, bits):
+    """The Fraction form that spectra._real_enclosure replaced: (a, radius)."""
+    a = round((lo + hi) / 2 * (1 << bits))
+    c = Fraction(a, 1 << bits)
+    return a, max(hi - c, c - lo, Fraction(0))
+
+
+def test_real_enclosure_equals_the_fraction_form():
+    rng = random.Random(3304)
+    cases = []
+    for _ in range(300):  # seeded dyadic brackets of both signs, coarse and fine
+        e, bits = rng.randrange(0, 400), rng.randrange(0, 400)
+        lo = rng.randrange(-(2 ** rng.randrange(1, 500)), 2 ** rng.randrange(1, 500))
+        cases.append((lo, lo + rng.randrange(0, 2 ** rng.randrange(1, 200)), 1 << e, bits))
+    for bits in (0, 5, 160):  # exact ties: the midpoint * 2**bits ends in one half
+        for q in range(-6, 7):  # both parities of the floor, both signs
+            mid2 = (2 * q + 1) << 3  # lo + hi: the midpoint is mid2 / 2**(bits + 4)
+            for w in (0, 2, 6):
+                cases.append(((mid2 - w) >> 1, (mid2 + w) >> 1, 1 << (bits + 3), bits))
+    cases += [(1, 3, 6, 0), (-7, 11, 10, 3), (5, 5, 3, 1), (1, 2, 3, 0)]  # other denominators
+    ties = 0
+    for lo, hi, den, bits in cases:
+        want = _fraction_real_enclosure(Fraction(lo, den), Fraction(hi, den), bits)
+        ties += ((lo + hi) << bits) % (2 * den) == den
+        e = spectra._real_enclosure(lo, hi, den, bits)
+        assert (e.a, e.radius) == want, (lo, hi, den, bits)
+        assert (e.b, e.k, e.is_real_certified) == (0, bits, True)
+    assert ties >= 3 * 13 * 3
 
 
 # ---------------------------------------------------------------- classify

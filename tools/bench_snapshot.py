@@ -44,6 +44,10 @@ STALE_ANY = {
     "mpmath.polyval.self_s": "proxies rootcert.mpmath.polyval, which nothing in src/ calls",
     "exactnum.nth_root_bounds.calls": "wraps spectra.nth_root_bounds, which nothing in spectra calls",
     "exactnum.nth_root_bounds.self_s": "wraps spectra.nth_root_bounds, which nothing in spectra calls",
+    "exactnum.sqrt_bounds.calls": "wraps spectra.sqrt_bounds, which nothing in spectra calls: "
+    "the accepted path takes its square roots in integers with exactnum._sqrt_floor",
+    "exactnum.sqrt_bounds.self_s": "wraps spectra.sqrt_bounds, which nothing in spectra calls: "
+    "the accepted path takes its square roots in integers with exactnum._sqrt_floor",
     "rootcert.isolate_roots.calls": "wraps spectra.isolate_roots, a name item 2 deletes",
     "rootcert.isolate_roots.self_s": "wraps spectra.isolate_roots, a name item 2 deletes",
     "rootcert.sturm_chain.calls": "wraps spectra.sturm_chain, a name item 6 deletes",
